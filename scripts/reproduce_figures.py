@@ -81,7 +81,7 @@ def main() -> int:
         rows, bad = ukappa_sweep(rat(kappa), args.grid)
         slug = kappa.replace("/", "-")
         (out / f"ukappa_{slug}.svg").write_text(
-            render_raster(rows, ("-2", "-2", "2", "2"), kappa=rat(kappa), ukappa_boundary=True)
+            render_raster(rows, ("-2", "-2", "2", "2"), kappa=rat(kappa))
         )
         print(f"ukappa {kappa}: {len(bad)} inconsistencies")
         assert not bad

@@ -1,20 +1,14 @@
 """Parameter-space sweeps: classification rasters over line parameters and
-over the perpendicular-case parameters.
-
-Rows are independent, so sweeps parallelize over rows; results are assembled
-by row index and are identical for any worker count.
-"""
+over the perpendicular-case parameters."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from ._rat import rat, rat_str
-from .cones import PlaneParams, make_cone, normalize_line, normalize_plane
+from .cones import PlaneParams, make_cone, normalize_line
 from .errors import DegenerateCone
 from .geometry import Point2
 from .sections import ELLIPSE, HYPERBOLA, PARABOLA, classify
-from .special import u_kappa_position
+from .special import u_kappa_check
 
 _LETTER = {ELLIPSE: "E", PARABOLA: "P", HYPERBOLA: "H"}
 
@@ -27,71 +21,44 @@ def _grid_coords(lo, hi, n):
     return [lo + k * step for k in range(n)]
 
 
-def _atlas_row(task):
-    plane_triple, kappa_str, x_strs, y_str = task
-    plane = normalize_plane([rat(s) for s in plane_triple])
-    kappa = rat(kappa_str)
-    y = rat(y_str)
-    row = []
-    for x_str in x_strs:
-        line = normalize_line((rat(x_str), y, 1))
-        try:
-            cone = make_cone(plane, line, kappa)
-        except DegenerateCone:
-            row.append("D")
-            continue
-        row.append(_LETTER[classify(cone)])
-    return "".join(row)
-
-
-def atlas_sweep(plane: PlaneParams, kappa, n: int, bbox=DEFAULT_BBOX, workers: int = 1) -> list[str]:
+def atlas_sweep(plane: PlaneParams, kappa, n: int, bbox=DEFAULT_BBOX) -> list[str]:
     """n x n raster of section classes over line parameters (a1, a2, 1).
 
     Rows run bottom-up (row 0 at the smallest a2), cells left to right.
     """
     x0, y0, x1, y1 = bbox
-    xs = [rat_str(c) for c in _grid_coords(x0, x1, n)]
-    ys = [rat_str(c) for c in _grid_coords(y0, y1, n)]
-    plane_triple = (rat_str(plane.A1), rat_str(plane.A2), str(plane.delta))
-    tasks = [(plane_triple, rat_str(rat(kappa)), xs, y) for y in ys]
-    if workers <= 1:
-        return [_atlas_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_atlas_row, tasks))
+    kappa = rat(kappa)
+    xs = _grid_coords(x0, x1, n)
+    rows = []
+    for y in _grid_coords(y0, y1, n):
+        row = []
+        for x in xs:
+            try:
+                cone = make_cone(plane, normalize_line((x, y, 1)), kappa)
+            except DegenerateCone:
+                row.append("D")
+                continue
+            row.append(_LETTER[classify(cone)])
+        rows.append("".join(row))
+    return rows
 
 
-def _ukappa_row(task):
-    kappa_str, x_strs, y_str = task
-    kappa = rat(kappa_str)
-    y = rat(y_str)
-    row = []
-    bad = []
-    for x_str in x_strs:
-        p = Point2(rat(x_str), y)
-        plane = normalize_plane((p.x1, p.x2, 1))
-        cone = make_cone(plane, normalize_line((p.x1, p.x2, 1)), kappa)
-        actual = classify(cone)
-        row.append(_LETTER[actual])
-        expected = {"inside": ELLIPSE, "boundary": PARABOLA, "outside": HYPERBOLA}[
-            u_kappa_position(kappa, p)
-        ]
-        if actual != expected:
-            bad.append({"A": [x_str, y_str], "expected": expected, "actual": actual})
-    return "".join(row), bad
-
-
-def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX, workers: int = 1):
+def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
     """Raster of perpendicular-cone classes over A = a = (x, y, 1), plus any
     disagreements with the U_kappa membership prediction (must be none)."""
     x0, y0, x1, y1 = bbox
-    xs = [rat_str(c) for c in _grid_coords(x0, x1, n)]
-    ys = [rat_str(c) for c in _grid_coords(y0, y1, n)]
-    tasks = [(rat_str(rat(kappa)), xs, y) for y in ys]
-    if workers <= 1:
-        results = [_ukappa_row(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ukappa_row, tasks))
-    rows = [r for r, _ in results]
-    inconsistencies = [item for _, bad in results for item in bad]
+    kappa = rat(kappa)
+    xs = _grid_coords(x0, x1, n)
+    rows = []
+    inconsistencies = []
+    for y in _grid_coords(y0, y1, n):
+        row = []
+        for x in xs:
+            check = u_kappa_check(kappa, Point2(x, y))
+            row.append(_LETTER[check.actual])
+            if not check.consistent:
+                inconsistencies.append(
+                    {"A": [rat_str(x), rat_str(y)], "expected": check.expected, "actual": check.actual}
+                )
+        rows.append("".join(row))
     return rows, inconsistencies

@@ -11,13 +11,17 @@ import json
 import sys
 from pathlib import Path
 
-from ._rat import rat
+from ._rat import rat, rat_str
 from .atlas import DEFAULT_BBOX, atlas_sweep, ukappa_sweep
 from .cones import cone_from_json, normalize_plane
 from .errors import TaxiconicsError
 from .oracle import OracleConfig, verify_cone
 from .render import RenderSpec, render_raster, render_section
 from .sections import build_section, classify, section_from_json, section_to_json
+
+# Upper bound on --grid for atlas, ukappa and verify: the cost grows with its
+# square, and at 1001 one command already evaluates a million grid points.
+MAX_GRID = 1001
 
 
 def _dump_json(obj) -> str:
@@ -49,7 +53,16 @@ def _parse_bbox(text: str | None):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"expected x0,y0,x1,y1, got {text!r}")
+    x0, y0, x1, y1 = (rat(p) for p in parts)
+    if x0 >= x1 or y0 >= y1:
+        raise ValueError(f"bbox {text!r} must have x0 < x1 and y0 < y1")
     return tuple(parts)
+
+
+def _check_grid(n: int) -> int:
+    if not 2 <= n <= MAX_GRID:
+        raise ValueError(f"--grid must be between 2 and {MAX_GRID}, got {n}")
+    return n
 
 
 def _cmd_classify(args) -> int:
@@ -67,7 +80,7 @@ def _cmd_section(args) -> int:
 
 def _cmd_verify(args) -> int:
     cone = _load_cone(args.spec)
-    cfg = OracleConfig(grid_n=args.grid)
+    cfg = OracleConfig(grid_n=_check_grid(args.grid))
     report = verify_cone(cone, cfg)
     _write(_dump_json(report), args.output)
     if report["violations"]:
@@ -85,10 +98,11 @@ def _cmd_verify(args) -> int:
 def _cmd_atlas(args) -> int:
     plane = normalize_plane(_parse_triple(args.plane))
     bbox = _parse_bbox(args.bbox)
-    rows = atlas_sweep(plane, rat(args.kappa), args.grid, bbox, workers=args.workers)
+    kappa = rat(args.kappa)
+    rows = atlas_sweep(plane, kappa, _check_grid(args.grid), bbox)
     payload = {
         "plane": plane.to_json(),
-        "kappa": args.kappa,
+        "kappa": rat_str(kappa),
         "bbox": list(bbox),
         "rows": rows,
     }
@@ -100,19 +114,17 @@ def _cmd_atlas(args) -> int:
 
 def _cmd_ukappa(args) -> int:
     bbox = _parse_bbox(args.bbox)
-    rows, bad = ukappa_sweep(rat(args.kappa), args.grid, bbox, workers=args.workers)
+    kappa = rat(args.kappa)
+    rows, bad = ukappa_sweep(kappa, _check_grid(args.grid), bbox)
     payload = {
-        "kappa": args.kappa,
+        "kappa": rat_str(kappa),
         "bbox": list(bbox),
         "rows": rows,
         "inconsistencies": bad,
     }
     _write(_dump_json(payload), args.output)
     if args.svg:
-        Path(args.svg).write_text(
-            render_raster(rows, bbox, kappa=rat(args.kappa), width=args.width,
-                          ukappa_boundary=True)
-        )
+        Path(args.svg).write_text(render_raster(rows, bbox, kappa=kappa, width=args.width))
     if bad:
         print(f"FAIL: {len(bad)} classification inconsistencies", file=sys.stderr)
         return 2
@@ -159,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True)
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--bbox", default=None, help="x0,y0,x1,y1 (default -2,-2,2,2)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--svg", default=None, help="also write an SVG heat-map")
     p.add_argument("--width", type=int, default=480)
@@ -169,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True)
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--bbox", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--width", type=int, default=480)

@@ -98,14 +98,6 @@ def partial_plane_dist(x: Point3, a_triple, i: int):
     return abs(value) / abs(a_triple[i - 1])
 
 
-def dist_to_plane_raw(x: Point3, a_triple) -> Rat:
-    a_triple = tuple(rat(c) for c in a_triple)
-    m = max(abs(c) for c in a_triple)
-    if m == 0:
-        raise ZeroVector("plane parameter must be nonzero")
-    return abs(_plane_value(x, a_triple)) / m
-
-
 def dist_to_plane(x: Point3, plane: "PlaneParams") -> Rat:
     """Taxicab distance from x to the plane P_A, exact."""
     return abs(plane.A1 * x.x1 + plane.A2 * x.x2 + plane.delta * x.x3) / plane.M
@@ -137,26 +129,15 @@ def partial_line_dist(x: Point3, a_triple, pair):
     return _line_f(x, a, xs[m - 1] / a[m - 1])
 
 
-def dist_to_line_raw(x: Point3, a_triple) -> Rat:
-    """Taxicab distance from x to the line through the origin along a_triple."""
-    a = tuple(rat(c) for c in a_triple)
-    dom = dominance_class(a)
-    xs = tuple(x)
-    if dom.index is not None:
-        i = dom.index
-        return _line_f(x, a, xs[i - 1] / a[i - 1])
-    # no dominance: all components nonzero, minimize at the middle value
-    values = sorted(xs[i] / a[i] for i in range(3))
-    return _line_f(x, a, values[1])
-
-
 def dist_to_line(x: Point3, line: "LineParams") -> Rat:
+    """Taxicab distance from x to the line ell_a, exact."""
     a = (line.a1, line.a2, rat(line.a3))
     dom = line.dominance
     xs = tuple(x)
     if dom.index is not None:
         i = dom.index
         return _line_f(x, a, xs[i - 1] / a[i - 1])
+    # no dominance: all components nonzero, minimize at the middle value
     values = sorted(xs[i] / a[i] for i in range(3))
     return _line_f(x, a, values[1])
 

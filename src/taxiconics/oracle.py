@@ -306,17 +306,23 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG, rng=None) ->
                 )
 
     bisected = 0
-    for v in finite_vertices:
-        t = _vertex_parameter(cone, v)
+    params = {v: float(_vertex_parameter(cone, v)) for v in finite_vertices}
+    for v, t in params.items():
+        # the bracket must not reach the other vertex on the same reference
+        # line, or both roots fall inside it and g has no sign change
+        half = min(
+            [0.75]
+            + [abs(t - t2) / 2 for w, t2 in params.items()
+               if w is not v and w.ref_index == v.ref_index]
+        )
         try:
-            root = vertex_bisection(
-                cone, v.ref_index, (float(t) - 0.75, float(t) + 0.75), cfg
-            )
-            bisected += 1
-            if abs(root - float(t)) > 1e-6:
-                violations.append(f"bisection missed vertex {v.label}")
+            root = vertex_bisection(cone, v.ref_index, (t - half, t + half), cfg)
         except NoSignChange:
-            pass  # tangential crossing; covered by the exact residual check
+            violations.append(f"no sign change around vertex {v.label}")
+            continue
+        bisected += 1
+        if abs(root - t) > 1e-6:
+            violations.append(f"bisection missed vertex {v.label}")
 
     scan = grid_residual_scan(cone, section, cfg=cfg)
     violations.extend(scan.violations)

@@ -7,7 +7,7 @@ so identical inputs produce byte-identical SVG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ._rat import rat
@@ -19,7 +19,6 @@ from .sections import ConicSection
 class RenderSpec:
     viewport: Optional[tuple] = None  # (xmin, ymin, xmax, ymax), rationals
     width: int = 480
-    styles: dict = field(default_factory=lambda: dict(_DEFAULT_STYLES))
 
 
 _DEFAULT_STYLES = {
@@ -160,26 +159,25 @@ def render_section(section: ConicSection, spec: Optional[RenderSpec] = None) -> 
         spec = RenderSpec()
     box = spec.viewport if spec.viewport is not None else default_viewport(section)
     canvas = _Canvas(box, spec.width)
-    styles = spec.styles
     body: list[str] = []
     for _, g, _active in section.ref_lines:
-        el = canvas.clipped_line(g, styles["ref_line"])
+        el = canvas.clipped_line(g, _DEFAULT_STYLES["ref_line"])
         if el:
             body.append(el)
     if section.trace is not None:
-        el = canvas.clipped_line(section.trace, styles["trace"])
+        el = canvas.clipped_line(section.trace, _DEFAULT_STYLES["trace"])
         if el:
             body.append(el)
     for piece in section.pieces:
-        el = canvas.clipped_piece(piece, styles["section"])
+        el = canvas.clipped_piece(piece, _DEFAULT_STYLES["section"])
         if el:
             body.append(el)
     for v in section.vertices:
         if v.location.is_finite:
-            body.append(canvas.marker(v.location.point, 3.2, styles["vertex"]))
+            body.append(canvas.marker(v.location.point, 3.2, _DEFAULT_STYLES["vertex"]))
     for a in section.aux_points:
         if a.active and a.location.is_finite:
-            body.append(canvas.marker(a.location.point, 2.6, styles["aux"]))
+            body.append(canvas.marker(a.location.point, 2.6, _DEFAULT_STYLES["aux"]))
     return _svg_document(canvas, body)
 
 
@@ -191,12 +189,11 @@ _CELL_FILL = {
 }
 
 
-def render_raster(rows: list[str], bbox, kappa=None, width: int = 480,
-                  ukappa_boundary: bool = False) -> str:
+def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
     """SVG heat-map of a classification raster (row 0 at the bottom).
 
-    With ukappa_boundary, overlays the disks and square whose arrangement
-    bounds the ellipse region of the perpendicular case.
+    Given kappa, overlays the disks and square whose arrangement bounds the
+    ellipse region U_kappa of the perpendicular case.
     """
     n = len(rows)
     box = tuple(rat(c) for c in bbox)
@@ -213,7 +210,7 @@ def render_raster(rows: list[str], bbox, kappa=None, width: int = 480,
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_w)}" '
                 f'height="{_fmt(cell_h)}" fill="{_CELL_FILL[letter]}"/>'
             )
-    if ukappa_boundary and kappa is not None:
+    if kappa is not None:
         k = float(rat(kappa))
         style = _DEFAULT_STYLES["ukappa_boundary"]
 

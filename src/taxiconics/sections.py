@@ -57,8 +57,6 @@ HYPERBOLA = "hyperbola"
 ADJACENT = "adjacent"
 ANTI_ADJACENT = "anti_adjacent"
 
-TRANSITIONAL_WARNING = "transitional-2d-region"
-
 _SIGNS = (1, -1)
 _SIGN_CHAR = {1: "+", -1: "-"}
 
@@ -157,14 +155,6 @@ def vertex_slot(cone: ConeSpec, index: int, sgn: int) -> ExtendedPoint:
     raise ValueError(f"bad reference index {index}")
 
 
-def _slots(cone: ConeSpec, indices) -> dict[tuple[int, int], ExtendedPoint]:
-    return {
-        (i, s): vertex_slot(cone, i, s)
-        for i in indices
-        for s in _SIGNS
-    }
-
-
 def vertices(cone: ConeSpec, include_inactive: bool = False) -> list[Vertex]:
     """Section vertices on active reference lines, plus-sign slots first.
 
@@ -180,6 +170,10 @@ def vertices(cone: ConeSpec, include_inactive: bool = False) -> list[Vertex]:
         for s in _SIGNS:
             out.append(Vertex(i, s, vertex_slot(cone, i, s)))
     return out
+
+
+def _slot_map(verts: list[Vertex]) -> dict[tuple[int, int], ExtendedPoint]:
+    return {(v.ref_index, v.sign): v.location for v in verts}
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +261,12 @@ def _aux_family(slots, pair, location: ExtendedPoint):
     raise AssertionError("auxiliary point matches neither vertex-pair family")
 
 
-def auxiliary_points(cone: ConeSpec) -> list[AuxPoint]:
+def auxiliary_points(cone: ConeSpec, verts: Optional[list[Vertex]] = None) -> list[AuxPoint]:
     """All auxiliary points on P^S with their activity flags.
 
-    Raises HorizontalPlane when the defining plane is horizontal: there is no
-    trace line and every auxiliary point escapes to infinity.
+    verts are the section vertices, vertices(cone), computed here when not
+    given.  Raises HorizontalPlane when the defining plane is horizontal:
+    there is no trace line and every auxiliary point escapes to infinity.
     """
     plane, line = cone.plane, cone.line
     if plane.is_horizontal:
@@ -290,9 +285,9 @@ def auxiliary_points(cone: ConeSpec) -> list[AuxPoint]:
     pairs = [(i, j) for k, i in enumerate(indices) for j in indices[k + 1:]]
     single = active_partial_pair(line)
     if single is None:
-        relations = _finite_relations(cone)
-        related = {frozenset(key) for key, _ in relations}
-        slots = _slots(cone, indices)
+        # no dominance: all three reference lines are active
+        slots = _slot_map(vertices(cone) if verts is None else verts)
+        related = {frozenset(key) for key, _ in _finite_relations(cone, slots)}
     out = []
     for pair in pairs:
         for s in _SIGNS:
@@ -408,22 +403,15 @@ def _clip_line_to_region(lform, constraints) -> Optional[Piece]:
     raise AssertionError("section piece cannot be a full line inside a sector")
 
 
-def _construct_nonhorizontal(cone: ConeSpec):
-    """Pieces of the section plus links (finite slot, infinite slot) realized
-    by rays that run parallel to a reference line with a vertex at infinity."""
+def _construct_nonhorizontal(cone: ConeSpec) -> list[Piece]:
+    """Pieces of the section, solved sector by sector."""
     plane, line = cone.plane, cone.line
     a_pt = line.point
     rays = _sorted_active_rays(line)
     n = len(rays)
     kM = cone.kappa / plane.M
     pform = (plane.A1, plane.A2, rat(plane.delta))
-    slots = _slots(cone, [i for i in _defined_indices(line) if i in active_indices(line)])
-    finite_loc = {ep.point: key for key, ep in slots.items() if ep.is_finite}
-    infinite_on = {key[0]: key for key, ep in slots.items() if not ep.is_finite}
-
     pieces: set[Piece] = set()
-    links: set[tuple] = set()
-    warnings: list[str] = []
 
     for idx in range(n):
         i_ref, u_dir = rays[idx]
@@ -448,36 +436,28 @@ def _construct_nonhorizontal(cone: ConeSpec):
                 for fu, fw, fp in zip(form_u, form_w, pform)
             )
             if lform[0] == 0 and lform[1] == 0:
-                if lform[2] == 0 and TRANSITIONAL_WARNING not in warnings:
-                    warnings.append(TRANSITIONAL_WARNING)
+                # no solution in this sector: an identically zero form would
+                # force A1 a1 + A2 a2 + delta = 0, which make_cone rejects
                 continue
             constraints = list(sector_constraints)
             side = (sigma * pform[0], sigma * pform[1], sigma * pform[2])
             constraints.append(side)
             piece = _clip_line_to_region(lform, constraints)
-            if piece is None:
-                continue
-            pieces.add(piece)
-            if isinstance(piece, Ray):
-                for ref, ref_dir in ((i_ref, u_dir), (j_ref, v_dir)):
-                    if cross(piece.direction, ref_dir) == 0 and ref in infinite_on:
-                        base_key = finite_loc.get(piece.base)
-                        if base_key is not None:
-                            links.add((base_key, infinite_on[ref]))
-    return sorted(pieces, key=piece_sort_key), sorted(links), warnings
+            if piece is not None:
+                pieces.add(piece)
+    return sorted(pieces, key=piece_sort_key)
 
 
-def _construct_horizontal(cone: ConeSpec) -> list[Piece]:
+def _construct_horizontal(verts: list[Vertex], aux: list[AuxPoint]) -> list[Piece]:
     """Horizontal defining line: rays through the active auxiliary points.
 
     Each edge line of the section meets P^S at an auxiliary point w and
     carries one vertex v; the edge is the ray from v pointing away from w.
     """
-    verts = [vertex_slot(cone, 3, s).point for s in _SIGNS]
-    aux = [p.location.point for p in auxiliary_points(cone) if p.active]
+    points = [v.location.point for v in verts]
     pieces: set[Piece] = set()
-    for w in aux:
-        for v in verts:
+    for w in (p.location.point for p in aux if p.active):
+        for v in points:
             pieces.add(Ray.of(v, v.x1 - w.x1, v.x2 - w.x2))
     return sorted(pieces, key=piece_sort_key)
 
@@ -486,9 +466,10 @@ def _construct_horizontal(cone: ConeSpec) -> list[Piece]:
 # adjacency
 
 
-def _finite_relations(cone: ConeSpec):
+def _finite_relations(cone: ConeSpec, slots):
     """Relations between finite vertices on distinct active reference lines.
 
+    slots maps each active (index, sign) slot to its vertex location.
     Returns a list of ((slot, slot), relation) with slots (index, sign).
     """
     line = cone.line
@@ -500,7 +481,6 @@ def _finite_relations(cone: ConeSpec):
     n = len(rays)
     ray_pos = {(ref, d): k for k, (ref, d) in enumerate(rays)}
     two_lines = len({ref for ref, _ in rays}) == 2
-    slots = _slots(cone, [i for i in _defined_indices(line) if i in active_indices(line)])
     finite = {key: ep.point for key, ep in slots.items() if ep.is_finite}
 
     def ray_key(key):
@@ -532,24 +512,31 @@ def _finite_relations(cone: ConeSpec):
     return out
 
 
-def adjacency(cone: ConeSpec, verts: Optional[list[Vertex]] = None):
+def adjacency(cone: ConeSpec):
     """Adjacency relation between section vertices.
 
     Finite pairs follow the ray-adjacency and trace-side rules directly;
     pairs with one vertex at infinity are read off the constructed section
-    (a ray parallel to a reference line realizes adjacency with the vertex
-    at infinity on that line).
+    (a ray from a finite vertex parallel to a reference line realizes
+    adjacency with the vertex at infinity on that line).
     """
-    if verts is None:
-        verts = vertices(cone)
+    verts = vertices(cone)
     by_slot = {(v.ref_index, v.sign): v for v in verts}
+    slots = _slot_map(verts)
     out = [
         (by_slot[k1], by_slot[k2], rel)
-        for (k1, k2), rel in _finite_relations(cone)
+        for (k1, k2), rel in _finite_relations(cone, slots)
     ]
     if not cone.line.is_horizontal:
-        _, links, _ = _construct_nonhorizontal(cone)
-        for fin_key, inf_key in links:
+        finite_at = {ep.point: key for key, ep in slots.items() if ep.is_finite}
+        infinite = [(key, ep.direction) for key, ep in slots.items() if not ep.is_finite]
+        links = set()
+        for piece in _construct_nonhorizontal(cone):
+            if isinstance(piece, Ray) and piece.base in finite_at:
+                for inf_key, d in infinite:
+                    if cross(piece.direction, d) == 0:
+                        links.add((finite_at[piece.base], inf_key))
+        for fin_key, inf_key in sorted(links):
             out.append((by_slot[fin_key], by_slot[inf_key], ADJACENT))
     return out
 
@@ -584,23 +571,22 @@ def classify(cone: ConeSpec) -> str:
 def build_section(cone: ConeSpec) -> ConicSection:
     """Construct the full conic section of a valid cone."""
     line = cone.line
-    if line.is_horizontal:
-        pieces = _construct_horizontal(cone)
-        warnings: list[str] = []
-    else:
-        pieces, _, warnings = _construct_nonhorizontal(cone)
+    verts = vertices(cone)
     try:
-        aux = auxiliary_points(cone)
+        aux = auxiliary_points(cone, verts)
     except HorizontalPlane:
         aux = []
+    if line.is_horizontal:
+        pieces = _construct_horizontal(verts, aux)
+    else:
+        pieces = _construct_nonhorizontal(cone)
     return ConicSection(
         klass=classify(cone),
         pieces=pieces,
-        vertices=vertices(cone),
+        vertices=verts,
         aux_points=aux,
         trace=trace_line_PS(cone.plane),
         ref_lines=reference_lines(line),
-        warnings=warnings,
     )
 
 
@@ -614,14 +600,14 @@ def build_pieces_via_aux(cone: ConeSpec) -> list[Piece]:
     vertices.  For horizontal defining lines this is the authoritative
     construction already used by build_section.
     """
-    line = cone.line
-    if line.is_horizontal:
-        return _construct_horizontal(cone)
-    indices = [i for i in _defined_indices(line) if i in active_indices(line)]
-    slots = _slots(cone, indices)
+    verts = vertices(cone)
+    aux_points = auxiliary_points(cone, verts)
+    if cone.line.is_horizontal:
+        return _construct_horizontal(verts, aux_points)
+    slots = _slot_map(verts)
     trace = trace_line_PS(cone.plane)
     pieces: set[Piece] = set()
-    for aux in auxiliary_points(cone):
+    for aux in aux_points:
         if not aux.active:
             continue
         i, j = (int(c) for c in aux.pair[:-1].split(","))

@@ -126,15 +126,20 @@ class UKappaCheck:
         return self.expected == self.actual
 
 
-def u_kappa_classify_check(kappa, p: Point2) -> UKappaCheck:
+def u_kappa_check(kappa, p: Point2) -> UKappaCheck:
     """Classify the perpendicular cone with A = a = (p, 1) and compare with
-    the U_kappa membership prediction; raises on disagreement."""
+    the U_kappa membership prediction."""
     kappa = rat(kappa)
     plane = normalize_plane((p.x1, p.x2, 1))
     cone = make_cone(plane, normalize_line((p.x1, p.x2, 1)), kappa)
     position = u_kappa_position(kappa, p)
-    actual = classify(cone)
-    report = UKappaCheck(position, _EXPECTED[position], actual)
+    return UKappaCheck(position, _EXPECTED[position], classify(cone))
+
+
+def u_kappa_classify_check(kappa, p: Point2) -> UKappaCheck:
+    """u_kappa_check that raises InconsistentClassification on disagreement."""
+    kappa = rat(kappa)
+    report = u_kappa_check(kappa, p)
     if not report.consistent:
         raise InconsistentClassification(
             f"A=a=({rat_str(p.x1)},{rat_str(p.x2)}), kappa={rat_str(kappa)}: "

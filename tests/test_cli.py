@@ -1,6 +1,8 @@
 import json
 
-from taxiconics.cli import main
+import pytest
+
+from taxiconics.cli import MAX_GRID, main
 
 FIG10A = {"A": ["2/3", "1/5", "1"], "a": ["9/10", "9/10", "1"], "kappa": "1"}
 FIG8 = {"A": ["1/2", "1/5", "1"], "a": ["3/2", "1", "1"], "kappa": "2"}
@@ -89,6 +91,17 @@ def test_verify_command(tmp_path, capsys):
     )
 
 
+def test_verify_passes_when_vertices_are_close(tmp_path, capsys):
+    # v3+ and v3- lie 3/4 apart along rho^3: a t +/- 0.75 bracket holds both
+    spec = write_spec(tmp_path, "close.json",
+                      {"A": ["7", "-9", "0"], "a": ["3", "-2/3", "1"], "kappa": "1"})
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--grid", "41", "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["vertices_bisected"] == report["vertices_checked"]
+    assert capsys.readouterr().err.startswith("ok: ")
+
+
 def test_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     import taxiconics.cli as cli
 
@@ -105,7 +118,7 @@ def test_atlas_values_and_worker_invariance(tmp_path):
     out1, out2 = tmp_path / "a1.json", tmp_path / "a2.json"
     args = ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--grid", "81"]
     assert main(args + ["-o", str(out1)]) == 0
-    assert main(args + ["--workers", "2", "-o", str(out2)]) == 0
+    assert main(args + ["-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     rows = json.loads(out1.read_text())["rows"]
     # grid step 1/20 on [-2, 2]: a = (9/10, 9/10) sits at column 58, row 58
@@ -141,3 +154,40 @@ def test_atlas_svg_output(tmp_path):
     assert main(["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--grid", "11",
                  "-o", str(tmp_path / "x.json"), "--svg", str(svg)]) == 0
     assert "<rect" in svg.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--grid", "1"],
+    ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--grid", "0"],
+    ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--grid", "-3"],
+    ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--grid", str(MAX_GRID + 1)],
+    ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--bbox", "1,1,1,1"],
+    ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--bbox", "1,1,0,0"],
+    ["ukappa", "--kappa", "1", "--grid", "1"],
+    ["ukappa", "--kappa", "1", "--grid", "0"],
+    ["ukappa", "--kappa", "1", "--grid", "-3"],
+    ["ukappa", "--kappa", "1", "--grid", str(MAX_GRID + 1)],
+    ["ukappa", "--kappa", "1", "--bbox", "1,1,1,1"],
+    ["ukappa", "--kappa", "1", "--bbox", "0,1,2,0"],
+])
+def test_sweeps_reject_bad_grid_and_bbox(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_rejects_grid_above_cap(tmp_path, capsys):
+    spec = write_spec(tmp_path, "fig8.json", FIG8)
+    assert main(["verify", spec, "--grid", str(MAX_GRID + 2)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweeps_echo_normalized_kappa(tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["atlas", "--plane", "2/3,1/5,1", "--kappa", "2/4", "--grid", "3", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["kappa"] == "1/2"
+    assert main(["ukappa", "--kappa", "6/3", "--grid", "3", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["kappa"] == "2"

@@ -15,12 +15,7 @@ from taxiconics import (
     wedge_index,
 )
 from taxiconics.errors import ZeroComponent, ZeroVector
-from taxiconics.metric import (
-    dist_to_line_raw,
-    dist_to_plane_raw,
-    partial_line_dist,
-    partial_plane_dist,
-)
+from taxiconics.metric import partial_line_dist, partial_plane_dist
 from taxiconics.oracle import numeric_dist_to_line, numeric_dist_to_plane
 
 from conftest import rnd_rat
@@ -43,7 +38,7 @@ def test_dist_to_plane_examples():
 def test_dist_to_plane_matches_numeric_minimization():
     plane = (rat(2, 3), rat(1, 5), rat(1))
     x = point3(rat(9, 10), rat(9, 10), 1)
-    exact = float(dist_to_plane_raw(x, plane))
+    exact = float(dist_to_plane(x, normalize_plane(plane)))
     approx = numeric_dist_to_plane(x, plane)
     assert abs(exact - approx) < 1e-7
 
@@ -89,7 +84,7 @@ def test_plane_distance_is_min_of_partials():
             continue
         x = point3(rnd_rat(rng), rnd_rat(rng), rnd_rat(rng))
         parts = [partial_plane_dist(x, A, i) for i in (1, 2, 3)]
-        assert dist_to_plane_raw(x, A) == min(parts)
+        assert dist_to_plane(x, normalize_plane(A)) == min(parts)
 
 
 def test_line_distance_agrees_with_numeric_oracle():
@@ -99,7 +94,7 @@ def test_line_distance_agrees_with_numeric_oracle():
         if all(c == 0 for c in a):
             continue
         x = point3(rnd_rat(rng), rnd_rat(rng), rnd_rat(rng))
-        exact = float(dist_to_line_raw(x, a))
+        exact = float(dist_to_line(x, normalize_line(a)))
         assert abs(exact - numeric_dist_to_line(x, a)) < 1e-9
 
 
@@ -113,7 +108,7 @@ def test_line_distance_scale_invariant():
         if s == 0:
             continue
         x = point3(rnd_rat(rng), rnd_rat(rng), rnd_rat(rng))
-        assert dist_to_line_raw(x, a) == dist_to_line_raw(x, tuple(s * c for c in a))
+        assert dist_to_line(x, normalize_line(a)) == dist_to_line(x, normalize_line(tuple(s * c for c in a)))
 
 
 def test_line_distance_translation_along_line():
@@ -125,7 +120,8 @@ def test_line_distance_translation_along_line():
         t = rnd_rat(rng)
         x = point3(rnd_rat(rng), rnd_rat(rng), rnd_rat(rng))
         shifted = point3(x.x1 + a[0] * t, x.x2 + a[1] * t, x.x3 + a[2] * t)
-        assert dist_to_line_raw(x, a) == dist_to_line_raw(shifted, a)
+        line = normalize_line(a)
+        assert dist_to_line(x, line) == dist_to_line(shifted, line)
 
 
 def test_dominant_partial_holds_for_all_points():
@@ -140,7 +136,7 @@ def test_dominant_partial_holds_for_all_points():
             continue
         j, k = sorted({1, 2, 3} - {dom.index})
         x = point3(rnd_rat(rng), rnd_rat(rng), rnd_rat(rng))
-        assert dist_to_line_raw(x, a) == partial_line_dist(x, a, (j, k))
+        assert dist_to_line(x, normalize_line(a)) == partial_line_dist(x, a, (j, k))
         checked += 1
 
 

@@ -133,3 +133,12 @@ def test_grid_scan_zero_coverage_acceptance_cones(spec):
     report = grid_residual_scan(cone, cfg=OracleConfig(grid_n=201))
     assert report.points_checked == 201 * 201
     assert report.violations == []
+
+
+def test_verify_bisects_every_finite_vertex(cone_family):
+    # grid_n=3 keeps the grid scan negligible; the bisection does not use it
+    cfg = OracleConfig(grid_n=3)
+    for cone in cone_family[:200]:
+        report = verify_cone(cone, cfg)
+        assert report["violations"] == []
+        assert report["vertices_bisected"] == report["vertices_checked"]

@@ -141,14 +141,13 @@ def test_fig8_aux_point_values():
 
 
 def test_aux_generating_lines_pass_through_aux():
-    from taxiconics.sections import _aux_family, _combo_line, _slots, active_indices
+    from taxiconics.sections import _aux_family, _combo_line, _slot_map
 
     rng = random.Random(19)
     checked = 0
     while checked < 120:
         cone = random_cone(rng, allow_horizontal_line=False, allow_horizontal_plane=False)
-        indices = [i for i in _defined_active(cone)]
-        slots = _slots(cone, indices)
+        slots = _slot_map(vertices(cone))
         for aux in auxiliary_points(cone):
             if not aux.active or not aux.location.is_finite:
                 continue
@@ -161,12 +160,6 @@ def test_aux_generating_lines_pass_through_aux():
                 if slots[(i, si)].is_finite and slots[(j, sj)].is_finite:
                     assert side_of_line(gamma, aux.location.point) == 0
         checked += 1
-
-
-def _defined_active(cone):
-    from taxiconics.sections import _defined_indices, active_indices
-
-    return [i for i in _defined_indices(cone.line) if i in active_indices(cone.line)]
 
 
 def test_adjacency_unit_circle():
@@ -400,3 +393,24 @@ def test_section_json_round_trip():
     assert [v.to_json() for v in again.vertices] == [v.to_json() for v in sorted(section.vertices, key=lambda v: (v.ref_index, -v.sign))]
     assert again.trace == section.trace
     assert section_to_json(again) == data
+
+
+def test_build_section_computes_each_vertex_slot_once(monkeypatch):
+    import taxiconics.sections as sections
+
+    calls = []
+    real = sections.vertex_slot
+
+    def counting(cone, index, sgn):
+        calls.append((index, sgn))
+        return real(cone, index, sgn)
+
+    rng = random.Random(32)
+    for _ in range(60):
+        cone = random_cone(rng)
+        active_slots = len(vertices(cone))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sections, "vertex_slot", counting)
+            build_section(cone)
+        assert len(calls) <= active_slots
