@@ -1,64 +1,135 @@
 """Parameter-space sweeps: classification rasters over line parameters and
-over the perpendicular-case parameters."""
+over the perpendicular-case parameters.
+
+Both sweeps are exact integer kernels.  Each grid axis is written once as
+integers over one common denominator.  After clearing denominators, the
+characterizing-strip tests of `sections.classify` (the four unit-diamond
+corners and a against |A1 x1 + A2 x2| < M/kappa) and the U_kappa tests of
+`special.u_kappa_position` are compares of Python ints, which cannot
+overflow.  Per-cell `classify` stays the reference the tests compare with.
+"""
 
 from __future__ import annotations
 
-from ._rat import rat, rat_str
-from .cones import PlaneParams, make_cone, normalize_line
-from .errors import DegenerateCone
-from .geometry import Point2
-from .sections import ELLIPSE, HYPERBOLA, PARABOLA, classify
-from .special import u_kappa_check
+from math import lcm
 
-_LETTER = {ELLIPSE: "E", PARABOLA: "P", HYPERBOLA: "H"}
+from ._rat import rat, rat_str
+from .cones import PlaneParams
+from .errors import NonPositiveKappa
+from .sections import ELLIPSE, HYPERBOLA, PARABOLA
 
 DEFAULT_BBOX = ("-2", "-2", "2", "2")
 
+# Indexed by 1 + side, where side is -1, 0 or 1 for inside, on or outside.
+_LETTER = "EPH"
+_CLASS = (ELLIPSE, PARABOLA, HYPERBOLA)
 
-def _grid_coords(lo, hi, n):
-    lo, hi = rat(lo), rat(hi)
-    step = (hi - lo) / (n - 1)
-    return [lo + k * step for k in range(n)]
+
+def _side(lhs: int, rhs: int) -> int:
+    """-1, 0 or 1 as lhs is below, equal to or above rhs."""
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _grid_axis(lo, hi, n: int) -> tuple[list[int], int]:
+    """The n coordinates lo + k (hi - lo)/(n - 1) as integers over one
+    denominator: coordinate k is nums[k]/den."""
+    lo = rat(lo)
+    step = (rat(hi) - lo) / (n - 1)
+    den = lcm(int(lo.denominator), int(step.denominator))
+    start = int(lo.numerator) * (den // int(lo.denominator))
+    inc = int(step.numerator) * (den // int(step.denominator))
+    return [start + k * inc for k in range(n)], den
+
+
+def _kappa_terms(kappa) -> tuple[int, int]:
+    """Numerator and denominator of kappa, which must be positive."""
+    kappa = rat(kappa)
+    if kappa <= 0:
+        raise NonPositiveKappa(f"kappa must be positive, got {rat_str(kappa)}")
+    return int(kappa.numerator), int(kappa.denominator)
 
 
 def atlas_sweep(plane: PlaneParams, kappa, n: int, bbox=DEFAULT_BBOX) -> list[str]:
     """n x n raster of section classes over line parameters (a1, a2, 1).
 
     Rows run bottom-up (row 0 at the smallest a2), cells left to right.
+    A cell is "D" where the line lies in the plane.
     """
     x0, y0, x1, y1 = bbox
-    kappa = rat(kappa)
-    xs = _grid_coords(x0, x1, n)
+    kp, kq = _kappa_terms(kappa)
+    xs, dx = _grid_axis(x0, x1, n)
+    ys, dy = _grid_axis(y0, y1, n)
+    p1, q1 = int(plane.A1.numerator), int(plane.A1.denominator)
+    p2, q2 = int(plane.A2.numerator), int(plane.A2.denominator)
+    # M/kappa = hn/hd.  Per cell s = hd L (A1 x + A2 y) with L = q1 q2 dx dy,
+    # so a is inside the strip iff |s| < hn L, and the line lies in the plane
+    # iff s = -delta hd L.
+    hn, hd = int(plane.M.numerator) * kq, int(plane.M.denominator) * kp
+    big_l = q1 * q2 * dx * dy
+    # The corner probes do not depend on the cell.
+    corners = max(_side(abs(p1) * hd, hn * q1), _side(abs(p2) * hd, hn * q2))
+    edge = hn * big_l
+    degenerate = -plane.delta * hd * big_l
+    sxs = [p1 * q2 * dy * hd * x for x in xs]
+    cy = p2 * q1 * dx * hd
     rows = []
-    for y in _grid_coords(y0, y1, n):
-        row = []
-        for x in xs:
-            try:
-                cone = make_cone(plane, normalize_line((x, y, 1)), kappa)
-            except DegenerateCone:
-                row.append("D")
-                continue
-            row.append(_LETTER[classify(cone)])
-        rows.append("".join(row))
+    for y in ys:
+        sy = cy * y
+        rows.append("".join([
+            "D" if s == degenerate else _LETTER[1 + max(corners, _side(abs(s), edge))]
+            for s in [sx + sy for sx in sxs]
+        ]))
     return rows
+
+
+def _u_kappa_side(r: int, m: int, d: int, kp: int, kq: int) -> int:
+    """Side of U_kappa (-1 inside, 0 on the boundary, 1 outside) of the point
+    (X, Y)/d with r = X^2 + Y^2 and m = max(|X|, |Y|), for kappa = kp/kq.
+
+    kappa >= 1: the open square max(|x|, |y|) < 1/kappa cut by the disk
+    x^2 + y^2 < 1/kappa.  kappa < 1: the union of that disk and the four
+    petal disks of radius 1/(2 kappa) centred at distance 1/(2 kappa) on the
+    axes; the petals together are x^2 + y^2 < max(|x|, |y|)/kappa.
+    """
+    disk = _side(r * kp, d * d * kq)
+    if kp >= kq:
+        return max(_side(m * kp, d * kq), disk)
+    return min(disk, _side(r * kp, m * kq * d))
 
 
 def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
     """Raster of perpendicular-cone classes over A = a = (x, y, 1), plus any
-    disagreements with the U_kappa membership prediction (must be none)."""
+    disagreements with the U_kappa membership prediction (must be none).
+
+    With x = X/d and y = Y/d the plane is (X, Y, d)/d with M = max(m, d)/d,
+    m = max(|X|, |Y|); the corners are at strip value m/d and a at r/d^2,
+    r = X^2 + Y^2.
+    """
     x0, y0, x1, y1 = bbox
-    kappa = rat(kappa)
-    xs = _grid_coords(x0, x1, n)
+    kp, kq = _kappa_terms(kappa)
+    xs, dx = _grid_axis(x0, x1, n)
+    ys, dy = _grid_axis(y0, y1, n)
+    d = lcm(dx, dy)
+    xs = [x * (d // dx) for x in xs]
+    ys = [y * (d // dy) for y in ys]
+    cols = [(x, abs(x), x * x) for x in xs]
     rows = []
     inconsistencies = []
-    for y in _grid_coords(y0, y1, n):
+    for y in ys:
+        ay, yy = abs(y), y * y
         row = []
-        for x in xs:
-            check = u_kappa_check(kappa, Point2(x, y))
-            row.append(_LETTER[check.actual])
-            if not check.consistent:
-                inconsistencies.append(
-                    {"A": [rat_str(x), rat_str(y)], "expected": check.expected, "actual": check.actual}
-                )
+        for x, ax, xx in cols:
+            m = ax if ax > ay else ay
+            r = xx + yy
+            edge = (m if m > d else d) * kq
+            actual = max(_side(m * kp, edge), _side(r * kp, edge * d))
+            row.append(_LETTER[1 + actual])
+            position = _u_kappa_side(r, m, d, kp, kq)
+            if position != actual:
+                inconsistencies.append({
+                    "A": [rat_str(rat(x, d)), rat_str(rat(y, d))],
+                    "expected": _CLASS[1 + position],
+                    "actual": _CLASS[1 + actual],
+                })
         rows.append("".join(row))
     return rows, inconsistencies

@@ -65,6 +65,11 @@ def _check_grid(n: int) -> int:
     return n
 
 
+def _check_width(width: int):
+    if width < 1:
+        raise ValueError(f"--width must be at least 1, got {width}")
+
+
 def _cmd_classify(args) -> int:
     cone = _load_cone(args.spec)
     print(classify(cone))
@@ -99,6 +104,7 @@ def _cmd_atlas(args) -> int:
     plane = normalize_plane(_parse_triple(args.plane))
     bbox = _parse_bbox(args.bbox)
     kappa = rat(args.kappa)
+    _check_width(args.width)
     rows = atlas_sweep(plane, kappa, _check_grid(args.grid), bbox)
     payload = {
         "plane": plane.to_json(),
@@ -115,6 +121,7 @@ def _cmd_atlas(args) -> int:
 def _cmd_ukappa(args) -> int:
     bbox = _parse_bbox(args.bbox)
     kappa = rat(args.kappa)
+    _check_width(args.width)
     rows, bad = ukappa_sweep(kappa, _check_grid(args.grid), bbox)
     payload = {
         "kappa": rat_str(kappa),
@@ -132,6 +139,7 @@ def _cmd_ukappa(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _check_width(args.width)
     data = json.loads(Path(args.section).read_text())
     section = section_from_json(data)
     viewport = None

@@ -201,15 +201,13 @@ def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
     xmin, ymin, xmax, ymax = canvas.box
     cell_w = float(xmax - xmin) * canvas.scale / n
     cell_h = float(ymax - ymin) * canvas.scale / n
+    # Each column's x, each row's y and the cell size are formatted once.
+    cols = [f'<rect x="{_fmt(ix * cell_w)}" y="' for ix in range(max(map(len, rows), default=0))]
+    size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
     body = []
     for iy, row in enumerate(rows):
-        for ix, letter in enumerate(row):
-            x = ix * cell_w
-            y = (n - 1 - iy) * cell_h
-            body.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_w)}" '
-                f'height="{_fmt(cell_h)}" fill="{_CELL_FILL[letter]}"/>'
-            )
+        y_size = _fmt((n - 1 - iy) * cell_h) + size
+        body.extend([f'{col}{y_size}{_CELL_FILL[letter]}"/>' for col, letter in zip(cols, row)])
     if kappa is not None:
         k = float(rat(kappa))
         style = _DEFAULT_STYLES["ukappa_boundary"]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from taxiconics import atlas, rat, rat_str
 from taxiconics.cli import MAX_GRID, main
 
 FIG10A = {"A": ["2/3", "1/5", "1"], "a": ["9/10", "9/10", "1"], "kappa": "1"}
@@ -149,6 +150,24 @@ def test_ukappa_command(tmp_path):
     assert svg.read_text().startswith("<svg ")
 
 
+def test_ukappa_reports_inconsistencies(tmp_path, capsys, monkeypatch):
+    # Predict "outside" everywhere, so every E and P cell disagrees.
+    monkeypatch.setattr(atlas, "_u_kappa_side", lambda *terms: 1)
+    out = tmp_path / "uk.json"
+    assert main(["ukappa", "--kappa", "1", "--grid", "9", "-o", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    bad = payload["inconsistencies"]
+    cells = sum(len(row) - row.count("H") for row in payload["rows"])
+    assert len(bad) == cells > 0
+    assert capsys.readouterr().err == f"FAIL: {cells} classification inconsistencies\n"
+    assert {rec["expected"] for rec in bad} == {"hyperbola"}
+    assert {rec["actual"] for rec in bad} == {"ellipse", "parabola"}
+    # grid step 1/2 over [-2, 2]: entries are in lowest terms, e.g. "1/2" and "-1"
+    entries = [c for rec in bad for c in rec["A"]]
+    assert all(c == rat_str(rat(c)) for c in entries)
+    assert {"1/2", "-1"} <= set(entries)
+
+
 def test_atlas_svg_output(tmp_path):
     svg = tmp_path / "atlas.svg"
     assert main(["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--grid", "11",
@@ -169,13 +188,28 @@ def test_atlas_svg_output(tmp_path):
     ["ukappa", "--kappa", "1", "--grid", str(MAX_GRID + 1)],
     ["ukappa", "--kappa", "1", "--bbox", "1,1,1,1"],
     ["ukappa", "--kappa", "1", "--bbox", "0,1,2,0"],
+    ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--width", "-5"],
+    ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--width", "0"],
+    ["ukappa", "--kappa", "1", "--width", "-5"],
+    ["ukappa", "--kappa", "1", "--width", "0"],
 ])
 def test_sweeps_reject_bad_grid_and_bbox(tmp_path, capsys, argv):
-    out = tmp_path / "out.json"
-    assert main(argv + ["-o", str(out)]) == 1
+    out, svg = tmp_path / "out.json", tmp_path / "out.svg"
+    assert main(argv + ["-o", str(out), "--svg", str(svg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
+    assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_render_rejects_bad_width(tmp_path, capsys, width):
+    spec = write_spec(tmp_path, "fig8.json", FIG8)
+    section, svg = tmp_path / "section.json", tmp_path / "s.svg"
+    assert main(["section", spec, "-o", str(section)]) == 0
+    assert main(["render", str(section), "-o", str(svg), "--width", width]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not svg.exists()
 
 
 def test_verify_rejects_grid_above_cap(tmp_path, capsys):
