@@ -2,9 +2,8 @@
 
 Every quantity in the core pipeline (coordinates, plane/line parameters,
 kappa, strip half-widths, ...) is an exact rational.  gmpy2.mpq is used when
-available because the classification sweeps do millions of small rational
-operations; fractions.Fraction is a drop-in fallback.  Both keep values
-reduced with a positive denominator, which is exactly the invariant we need.
+available and fractions.Fraction otherwise.  Both keep values reduced with a
+positive denominator, which is exactly the invariant we need.
 """
 
 from __future__ import annotations

@@ -30,15 +30,20 @@ def _side(lhs: int, rhs: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _grid_axis(lo, hi, n: int) -> tuple[list[int], int]:
-    """The n coordinates lo + k (hi - lo)/(n - 1) as integers over one
-    denominator: coordinate k is nums[k]/den."""
-    lo = rat(lo)
-    step = (rat(hi) - lo) / (n - 1)
-    den = lcm(int(lo.denominator), int(step.denominator))
-    start = int(lo.numerator) * (den // int(lo.denominator))
-    inc = int(step.numerator) * (den // int(step.denominator))
-    return [start + k * inc for k in range(n)], den
+def grid_axes(bbox, n: int) -> tuple[list[int], list[int], int]:
+    """The n x n grid over bbox = (x0, y0, x1, y1) as integers over one
+    common denominator d: column k is at x = xs[k]/d and row k at y = ys[k]/d."""
+    if n < 2:
+        raise ValueError(f"a grid needs at least 2 points per axis, got {n}")
+    x0, y0, x1, y1 = (rat(c) for c in bbox)
+    axes = [(x0, (x1 - x0) / (n - 1)), (y0, (y1 - y0) / (n - 1))]
+    d = lcm(*(int(v.denominator) for axis in axes for v in axis))
+
+    def scaled(v) -> int:
+        return int(v.numerator) * (d // int(v.denominator))
+
+    xs, ys = ([scaled(lo) + k * scaled(step) for k in range(n)] for lo, step in axes)
+    return xs, ys, d
 
 
 def _kappa_terms(kappa) -> tuple[int, int]:
@@ -55,23 +60,21 @@ def atlas_sweep(plane: PlaneParams, kappa, n: int, bbox=DEFAULT_BBOX) -> list[st
     Rows run bottom-up (row 0 at the smallest a2), cells left to right.
     A cell is "D" where the line lies in the plane.
     """
-    x0, y0, x1, y1 = bbox
     kp, kq = _kappa_terms(kappa)
-    xs, dx = _grid_axis(x0, x1, n)
-    ys, dy = _grid_axis(y0, y1, n)
+    xs, ys, d = grid_axes(bbox, n)
     p1, q1 = int(plane.A1.numerator), int(plane.A1.denominator)
     p2, q2 = int(plane.A2.numerator), int(plane.A2.denominator)
-    # M/kappa = hn/hd.  Per cell s = hd L (A1 x + A2 y) with L = q1 q2 dx dy,
+    # M/kappa = hn/hd.  Per cell s = hd L (A1 x + A2 y) with L = q1 q2 d,
     # so a is inside the strip iff |s| < hn L, and the line lies in the plane
     # iff s = -delta hd L.
     hn, hd = int(plane.M.numerator) * kq, int(plane.M.denominator) * kp
-    big_l = q1 * q2 * dx * dy
+    big_l = q1 * q2 * d
     # The corner probes do not depend on the cell.
     corners = max(_side(abs(p1) * hd, hn * q1), _side(abs(p2) * hd, hn * q2))
     edge = hn * big_l
     degenerate = -plane.delta * hd * big_l
-    sxs = [p1 * q2 * dy * hd * x for x in xs]
-    cy = p2 * q1 * dx * hd
+    sxs = [p1 * q2 * hd * x for x in xs]
+    cy = p2 * q1 * hd
     rows = []
     for y in ys:
         sy = cy * y
@@ -105,13 +108,8 @@ def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
     m = max(|X|, |Y|); the corners are at strip value m/d and a at r/d^2,
     r = X^2 + Y^2.
     """
-    x0, y0, x1, y1 = bbox
     kp, kq = _kappa_terms(kappa)
-    xs, dx = _grid_axis(x0, x1, n)
-    ys, dy = _grid_axis(y0, y1, n)
-    d = lcm(dx, dy)
-    xs = [x * (d // dx) for x in xs]
-    ys = [y * (d // dy) for y in ys]
+    xs, ys, d = grid_axes(bbox, n)
     cols = [(x, abs(x), x * x) for x in xs]
     rows = []
     inconsistencies = []

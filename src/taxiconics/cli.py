@@ -65,6 +65,12 @@ def _check_grid(n: int) -> int:
     return n
 
 
+def _check_verify_grid(n: int) -> int:
+    if n % 2 == 0 or not 3 <= n <= MAX_GRID:
+        raise ValueError(f"verify --grid must be odd and between 3 and {MAX_GRID}, got {n}")
+    return n
+
+
 def _check_width(width: int):
     if width < 1:
         raise ValueError(f"--width must be at least 1, got {width}")
@@ -85,7 +91,7 @@ def _cmd_section(args) -> int:
 
 def _cmd_verify(args) -> int:
     cone = _load_cone(args.spec)
-    cfg = OracleConfig(grid_n=_check_grid(args.grid))
+    cfg = OracleConfig(grid_n=_check_verify_grid(args.grid))
     report = verify_cone(cone, cfg)
     _write(_dump_json(report), args.output)
     if report["violations"]:
@@ -171,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numeric/brute-force oracle suite")
     p.add_argument("spec")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--grid", type=int, default=201, help="odd grid resolution")
+    p.add_argument("--grid", type=int, default=201, help=f"odd grid resolution, 3 to {MAX_GRID}")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("atlas", help="classification raster over line parameters")

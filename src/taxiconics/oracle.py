@@ -10,11 +10,13 @@ checked against an exact-residual scan on a rational grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._rat import Rat, rat, rat_str
+from .atlas import grid_axes
 from .cones import ConeSpec
 from .errors import NoSignChange
 from .geometry import Point2, Segment, piece_contains
@@ -208,6 +210,8 @@ def section_bbox(section: ConicSection, pad=1) -> tuple[Rat, Rat, Rat, Rat]:
         if v.location.is_finite:
             xs.append(v.location.point.x1)
             ys.append(v.location.point.x2)
+    if not xs:
+        raise ValueError("the section has no finite pieces or vertices to bound")
     pad = rat(pad)
     return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
@@ -234,32 +238,84 @@ def grid_residual_scan(
     bbox: Optional[tuple] = None,
     cfg: OracleConfig = DEFAULT_CONFIG,
 ) -> ScanReport:
-    """Exact residual on a rational grid; zero set must lie on the pieces."""
+    """Exact residual on a rational grid; zero set must lie on the pieces.
+
+    An exact integer kernel; `exact_residual` at each grid point is the
+    reference the tests compare it with.  Grid point (X, Y) stands for
+    x = (X/D, Y/D, 1) over one denominator D.  With the line a = n/q and the
+    plane A = P/Q in integers, Pm = max |P_i| and kappa = kp/kq:
+
+    * d(x, ell) is the least of S_k/(|n_k| D) over the breakpoints k of the
+      convex map t -> sum |x_j - a_j t|, S_k = sum_{j != k} |n_k X_j - n_j X_k|.
+      That is k = i alone when component i (transitionally) dominates.
+    * d(x, P) = |P . (X, Y, D)|/(Pm D).
+
+    Over L = lcm |n_k| the residual is num/(L D Pm kq) with
+    num = min_k Pm kq (L/|n_k|) S_k - kp L |P . (X, Y, D)|, so a point is a
+    zero iff num == 0, and only zeros get a rational point.
+    """
     if section is None:
         section = build_section(cone)
     if bbox is None:
         bbox = section_bbox(section)
-    x0, y0, x1, y1 = (rat(c) for c in bbox)
     n = cfg.grid_n
-    dx = (x1 - x0) / (n - 1)
-    dy = (y1 - y0) / (n - 1)
+    xs, ys, big_d = grid_axes(bbox, n)
+
+    def form(coefs, scale):
+        # scale * (cx X + cy Y + cd D) as an X column plus the row terms
+        cx, cy, cd = (scale * c for c in coefs)
+        return [cx * x for x in xs], cy, cd * big_d
+
+    line = _int_triple(cone.line.triple())
+    plane = _int_triple(cone.plane.triple())
+    kp, kq = int(cone.kappa.numerator), int(cone.kappa.denominator)
+    pm = max(map(abs, plane))
+    dom = cone.line.dominance.index
+    breaks = [dom - 1] if dom else [0, 1, 2]
+    big_l = lcm(*(abs(line[k]) for k in breaks))
+    terms = []
+    for k in breaks:
+        # the two terms n_k X_j - n_j X_k of S_k, scaled by Pm kq L/|n_k|
+        scale = pm * kq * (big_l // abs(line[k]))
+        pair = []
+        for j in range(3):
+            if j != k:
+                coefs = [0, 0, 0]
+                coefs[j], coefs[k] = line[k], -line[j]
+                pair.append(form(coefs, scale))
+        terms.append(pair)
+    g_col, gy, gd = form(plane, kp * big_l)
+
     zeros = 0
-    max_off = rat(0)
+    max_num = 0
     violations: list[str] = []
-    for iy in range(n):
-        y = y0 + iy * dy
-        for ix in range(n):
-            p = Point2(x0 + ix * dx, y)
-            r = exact_residual(cone, p)
-            if r == 0:
+    for y in ys:
+        dists = []
+        for (c1, a1, b1), (c2, a2, b2) in terms:
+            r1, r2 = a1 * y + b1, a2 * y + b2
+            dists.append([abs(u + r1) + abs(v + r2) for u, v in zip(c1, c2)])
+        dist = dists[0] if len(dists) == 1 else map(min, *dists)
+        rg = gy * y + gd
+        nums = [s - abs(w + rg) for s, w in zip(dist, g_col)]
+        max_num = max(max_num, max(nums), -min(nums))
+        if 0 not in nums:
+            continue
+        for x, num in zip(xs, nums):
+            if num == 0:
                 zeros += 1
+                p = Point2(rat(x, big_d), rat(y, big_d))
                 if not any(piece_contains(piece, p) for piece in section.pieces):
                     violations.append(
                         f"zero residual off pieces at ({rat_str(p.x1)}, {rat_str(p.x2)})"
                     )
-            else:
-                max_off = max(max_off, abs(r))
+    max_off = rat(max_num, big_l * big_d * pm * kq)
     return ScanReport(n * n, zeros, float(max_off), violations)
+
+
+def _int_triple(values) -> list[int]:
+    """A rational triple times its common denominator, as integers."""
+    den = lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in values]
 
 
 def sample_piece_points(piece, count: int, rng) -> list[Point2]:

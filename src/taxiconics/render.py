@@ -15,10 +15,18 @@ from .geometry import Line2, Point2, Segment
 from .sections import ConicSection
 
 
+def _check_width(width: int):
+    if width < 1:
+        raise ValueError(f"width must be at least 1 pixel, got {width}")
+
+
 @dataclass
 class RenderSpec:
     viewport: Optional[tuple] = None  # (xmin, ymin, xmax, ymax), rationals
     width: int = 480
+
+    def __post_init__(self):
+        _check_width(self.width)
 
 
 _DEFAULT_STYLES = {
@@ -195,6 +203,7 @@ def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
     Given kappa, overlays the disks and square whose arrangement bounds the
     ellipse region U_kappa of the perpendicular case.
     """
+    _check_width(width)
     n = len(rows)
     box = tuple(rat(c) for c in bbox)
     canvas = _Canvas(box, width)

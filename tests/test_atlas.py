@@ -172,3 +172,12 @@ def test_sweeps_reject_non_positive_kappa(kappa):
         atlas_sweep(normalize_plane((1, 1, 1)), kappa, 3)
     with pytest.raises(NonPositiveKappa):
         ukappa_sweep(kappa, 3)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_sweeps_reject_grids_below_two(n):
+    plane = normalize_plane((2, -3, 1))
+    with pytest.raises(ValueError, match="at least 2 points"):
+        atlas_sweep(plane, 1, n)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        ukappa_sweep(1, n)

@@ -219,6 +219,16 @@ def test_verify_rejects_grid_above_cap(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid", ["2", "200", str(MAX_GRID + 2), "1", "-3"])
+def test_verify_states_one_grid_rule(tmp_path, capsys, grid):
+    spec = write_spec(tmp_path, "fig8.json", FIG8)
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--grid", grid, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: verify --grid must be odd and between 3 and {MAX_GRID}, got {grid}\n"
+    assert not out.exists()
+
+
 def test_sweeps_echo_normalized_kappa(tmp_path):
     out = tmp_path / "out.json"
     assert main(["atlas", "--plane", "2/3,1/5,1", "--kappa", "2/4", "--grid", "3", "-o", str(out)]) == 0

@@ -1,10 +1,17 @@
-import pytest
+import dataclasses
+import random
+from fractions import Fraction
 
-from taxiconics import build_section, cone_from_raw, point2, point3, rat
-from taxiconics.errors import NoSignChange
-from taxiconics.geometry import piece_contains
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from taxiconics import build_section, cone_from_raw, point2, point3, rat, rat_str
+from taxiconics.errors import DegenerateCone, NoSignChange, ZeroVector
+from taxiconics.geometry import Point2, piece_contains
 from taxiconics.oracle import (
     OracleConfig,
+    ScanReport,
     exact_residual,
     grid_residual_scan,
     numeric_dist_to_line,
@@ -142,3 +149,169 @@ def test_verify_bisects_every_finite_vertex(cone_family):
         report = verify_cone(cone, cfg)
         assert report["violations"] == []
         assert report["vertices_bisected"] == report["vertices_checked"]
+
+
+# ---------------------------------------------------------------------------
+# grid_residual_scan's integer kernel against the scalar rational reference
+
+
+def reference_scan(cone, section, bbox=None, cfg=OracleConfig()):
+    """exact_residual and piece_contains at every grid point."""
+    if bbox is None:
+        bbox = section_bbox(section)
+    x0, y0, x1, y1 = (rat(c) for c in bbox)
+    n = cfg.grid_n
+    dx, dy = (x1 - x0) / (n - 1), (y1 - y0) / (n - 1)
+    zeros, max_off, violations = 0, rat(0), []
+    for iy in range(n):
+        for ix in range(n):
+            p = Point2(x0 + ix * dx, y0 + iy * dy)
+            r = exact_residual(cone, p)
+            if r != 0:
+                max_off = max(max_off, abs(r))
+                continue
+            zeros += 1
+            if not any(piece_contains(piece, p) for piece in section.pieces):
+                violations.append(
+                    f"zero residual off pieces at ({rat_str(p.x1)}, {rat_str(p.x2)})"
+                )
+    return ScanReport(n * n, zeros, float(max_off), violations)
+
+
+def assert_scan_matches_reference(cone, bbox=None, n=9, section=None) -> dict:
+    if section is None:
+        section = build_section(cone)
+    cfg = OracleConfig(grid_n=n)
+    got = grid_residual_scan(cone, section, bbox, cfg).to_json()
+    assert got == reference_scan(cone, section, bbox, cfg).to_json()
+    return got
+
+
+# (plane, line, dominance kind of the line, its index)
+SCAN_CONES = {
+    "dominant-3": (((rat(2, 3), rat(1, 5), 1), (rat(1, 4), rat(-1, 3), 1)), ("dominant", 3)),
+    "dominant-1": (((2, -3, 1), (3, 1, 1)), ("dominant", 1)),
+    "dominant-2": (((rat(1, 2), rat(1, 3), 1), (rat(1, 2), rat(-5, 2), 1)), ("dominant", 2)),
+    "transitional-3": (((rat(2, 3), rat(1, 5), 1), (rat(1, 2), rat(1, 2), 1)),
+                       ("transitionally_dominant", 3)),
+    "transitional-1": (((2, -3, 1), (3, 2, 1)), ("transitionally_dominant", 1)),
+    "none": (((2, -3, 1), (rat(3, 4), rat(-1, 2), 1)), ("none", None)),
+    "none-shallow": (((rat(2, 3), rat(1, 5), 1), (rat(9, 10), rat(9, 10), 1)), ("none", None)),
+    "horizontal-line": (((rat(1, 2), rat(1, 3), 1), (3, 1, 0)), ("dominant", 1)),
+    "horizontal-line-transitional": (((1, 4, 1), (1, -1, 0)), ("transitionally_dominant", 1)),
+    "horizontal-line-2": (((rat(1, 2), 2, 1), (1, -3, 0)), ("dominant", 2)),
+    "horizontal-plane": (((0, 0, 1), (rat(7, 4), rat(1, 2), 1)), ("dominant", 1)),
+    "horizontal-plane-none": (((0, 0, 1), (rat(3, 5), rat(-4, 5), 1)), ("none", None)),
+    "vertical-plane": (((2, -3, 0), (rat(1, 2), rat(1, 4), 1)), ("dominant", 3)),
+    "vertical-plane-horizontal-line": (((1, 2, 0), (3, 1, 0)), ("dominant", 1)),
+}
+KAPPAS = [rat(1, 2), rat(1), rat(3)]
+
+
+@pytest.mark.parametrize("kappa", KAPPAS, ids=rat_str)
+@pytest.mark.parametrize("name", sorted(SCAN_CONES))
+def test_grid_scan_kernel_matches_reference(name, kappa):
+    (plane, line), (kind, index) = SCAN_CONES[name]
+    cone = cone_from_raw(plane, line, kappa)
+    assert (cone.line.dominance.kind, cone.line.dominance.index) == (kind, index)
+    # step 1/4: the pieces of most of these cones pass through grid points
+    assert_scan_matches_reference(cone, (-3, -3, 3, 3), n=25)
+    assert_scan_matches_reference(cone, n=9)
+
+
+def test_grid_scan_kernel_cases_hit_zeros():
+    zeros = {
+        name: sum(
+            grid_residual_scan(cone_from_raw(*spec, kappa), bbox=(-3, -3, 3, 3),
+                               cfg=OracleConfig(grid_n=25)).zero_residual_points
+            for kappa in KAPPAS
+        )
+        for name, (spec, _) in SCAN_CONES.items()
+    }
+    assert sum(1 for z in zeros.values() if z > 0) >= 12, zeros
+
+
+@pytest.mark.parametrize("bbox", [
+    (-3, -2, 4, 5),
+    ("-5/2", "-7/3", "9/4", "11/5"),
+    (Fraction(-13, 6), Fraction(-3, 4), Fraction(17, 5), Fraction(8, 3)),
+    (-2, "-1/3", Fraction(5, 2), 3),
+], ids=["ints", "strings", "fractions", "mixed"])
+@pytest.mark.parametrize("n", [3, 9])
+def test_grid_scan_kernel_explicit_bboxes(bbox, n):
+    for name in ("dominant-1", "transitional-1", "none", "horizontal-line", "vertical-plane"):
+        (plane, line), _ = SCAN_CONES[name]
+        for kappa in KAPPAS:
+            assert_scan_matches_reference(cone_from_raw(plane, line, kappa), bbox, n)
+
+
+def test_grid_scan_kernel_grid_201():
+    cone = cone_from_raw((2, -3, 1), (3, 2, 1), 1)
+    report = assert_scan_matches_reference(cone, n=201)
+    assert report["zero_residual_points"] > 0 and report["violations"] == []
+
+
+def test_grid_scan_kernel_fixed_seeds(cone_family):
+    rng = random.Random(20240813)
+    kinds = set()
+    for k, cone in enumerate(cone_family[:60]):
+        kinds.add(cone.line.dominance.kind)
+        bbox = None
+        if k % 2:
+            x0, y0 = rng.randrange(-24, 0), rng.randrange(-24, 0)
+            den = rng.randrange(1, 7)
+            bbox = tuple(rat(c, den) for c in
+                         (x0, y0, x0 + rng.randrange(1, 40), y0 + rng.randrange(1, 40)))
+        assert_scan_matches_reference(cone, bbox, n=rng.choice([3, 5, 9, 11]))
+    assert kinds == {"dominant", "transitionally_dominant", "none"}
+
+
+rationals = st.builds(rat, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def bboxes(draw):
+    x0, x1 = sorted(draw(st.lists(rationals, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(rationals, min_size=2, max_size=2, unique=True)))
+    return (x0, y0, x1, y1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.tuples(rationals, rationals, st.sampled_from([0, 1])),
+    st.tuples(rationals, rationals, st.sampled_from([0, 1])),
+    st.builds(rat, st.integers(1, 12), st.integers(1, 6)),
+    st.one_of(st.none(), bboxes()),
+    st.sampled_from([3, 5, 7]),
+)
+def test_grid_scan_kernel_matches_reference_hypothesis(plane, line, kappa, bbox, n):
+    try:
+        cone = cone_from_raw(plane, line, kappa)
+    except (DegenerateCone, ZeroVector):
+        assume(False)
+    assert_scan_matches_reference(cone, bbox, n)
+
+
+@pytest.mark.parametrize("spec, bbox, n", [
+    (((0, 0, 1), (0, 0, 1), 1), (-2, -2, 2, 2), 41),
+    (((2, -3, 1), (3, 2, 1), 1), (-3, -3, 3, 3), 25),
+    (((2, -3, 1), (rat(3, 4), rat(-1, 2), 1), 3), (-3, -3, 3, 3), 25),
+], ids=["circle", "transitional", "none"])
+def test_grid_scan_reports_zeros_off_the_pieces(spec, bbox, n):
+    cone = cone_from_raw(*spec)
+    section = build_section(cone)
+    assert grid_residual_scan(cone, section, bbox, OracleConfig(grid_n=n)).violations == []
+    reported = 0
+    for k in range(len(section.pieces)):
+        broken = dataclasses.replace(section, pieces=section.pieces[:k] + section.pieces[k + 1:])
+        report = assert_scan_matches_reference(cone, bbox, n, section=broken)
+        assert all(v.startswith("zero residual off pieces at (") for v in report["violations"])
+        reported += len(report["violations"])
+    assert reported > 0
+
+
+def test_section_bbox_rejects_a_section_without_finite_features():
+    section = build_section(cone_from_raw(*FIG8))
+    empty = dataclasses.replace(section, pieces=[], vertices=[])
+    with pytest.raises(ValueError, match="no finite pieces or vertices"):
+        section_bbox(empty)
