@@ -54,7 +54,6 @@ from .sections import (
     Vertex,
     adjacency,
     auxiliary_points,
-    build_pieces_via_aux,
     build_section,
     classify,
     section_from_json,

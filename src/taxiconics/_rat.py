@@ -1,9 +1,9 @@
-"""Exact rational scalar backend.
+"""Exact rational scalar type.
 
 Every quantity in the core pipeline (coordinates, plane/line parameters,
-kappa, strip half-widths, ...) is an exact rational.  gmpy2.mpq is used when
-available and fractions.Fraction otherwise.  Both keep values reduced with a
-positive denominator, which is exactly the invariant we need.
+kappa, strip half-widths, ...) is an exact rational, a fractions.Fraction.
+It keeps values reduced with a positive denominator, which is exactly the
+invariant we need.
 """
 
 from __future__ import annotations
@@ -12,18 +12,15 @@ import re
 from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rat = Fraction
+Rat = Fraction
 
-RatLike = Union[int, str, Fraction, "Rat"]
+RatLike = Union[int, str, Fraction]
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
 def rat(value: RatLike, den: int | None = None) -> Rat:
-    """Coerce ints, strings and Fraction/mpq values to the backend type."""
+    """Coerce ints, strings and Fractions to Rat."""
     if den is not None:
         return Rat(value, den)
     if isinstance(value, str):

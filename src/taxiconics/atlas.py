@@ -19,6 +19,10 @@ from .errors import NonPositiveKappa
 from .sections import ELLIPSE, HYPERBOLA, PARABOLA
 
 DEFAULT_BBOX = ("-2", "-2", "2", "2")
+# Upper bound on the grid size of atlas, ukappa and verify (CLI and
+# OracleConfig): the cost grows with its square, and at 1001 one run already
+# evaluates a million grid points.
+MAX_GRID = 1001
 
 # Indexed by 1 + side, where side is -1, 0 or 1 for inside, on or outside.
 _LETTER = "EPH"

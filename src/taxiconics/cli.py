@@ -12,16 +12,12 @@ import sys
 from pathlib import Path
 
 from ._rat import rat, rat_str
-from .atlas import DEFAULT_BBOX, atlas_sweep, ukappa_sweep
+from .atlas import DEFAULT_BBOX, MAX_GRID, atlas_sweep, ukappa_sweep
 from .cones import cone_from_json, normalize_plane
 from .errors import TaxiconicsError
 from .oracle import OracleConfig, verify_cone
 from .render import RenderSpec, render_raster, render_section
 from .sections import build_section, classify, section_from_json, section_to_json
-
-# Upper bound on --grid for atlas, ukappa and verify: the cost grows with its
-# square, and at 1001 one command already evaluates a million grid points.
-MAX_GRID = 1001
 
 
 def _dump_json(obj) -> str:

@@ -3,8 +3,9 @@
 The oracles deliberately avoid the closed-form machinery: line distance is
 minimized by a dense scan plus ternary refinement of the convex map
 t -> sum |x_i - a_i t|; vertices are re-found by bisection of
-d(x, ell) - kappa d(x, P) along reference lines; and the section pieces are
-checked against an exact-residual scan on a rational grid.
+d(x, ell) - kappa d(x, P) along reference lines; the section pieces are
+checked against an exact-residual scan on a rational grid, against a
+sector-by-sector rebuild, and their topology against the class.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rat import Rat, rat, rat_str
-from .atlas import grid_axes
-from .cones import ConeSpec
+from ._rat import Rat, rat, rat_str, sign
+from .atlas import MAX_GRID, grid_axes
+from .cones import ConeSpec, LineParams
 from .errors import NoSignChange
-from .geometry import Point2, Segment, piece_contains
+from .geometry import Piece, Point2, Ray, Segment, cross, piece_contains, piece_point_at, piece_sort_key
 from .metric import Point3, dist_to_line, dist_to_plane
-from .sections import ConicSection, build_section
+from .sections import _SIGNS, ConicSection, _sorted_active_rays, build_section, section_topology
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class OracleConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.grid_n < 3 or self.grid_n % 2 == 0:
-            raise ValueError("grid_n must be odd and at least 3")
+        if self.grid_n % 2 == 0 or not 3 <= self.grid_n <= MAX_GRID:
+            raise ValueError(f"grid_n must be odd and between 3 and {MAX_GRID}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -216,6 +217,120 @@ def section_bbox(section: ConicSection, pad=1) -> tuple[Rat, Rat, Rat, Rat]:
     return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
 
+# ---------------------------------------------------------------------------
+# independent rebuild: the section solved sector by sector
+
+
+def _partial_forms(line: LineParams, pair: tuple[int, int]):
+    """Linear forms (c1, c2, c0) of the two terms of d_pair on x3 = 1.
+
+    The first form vanishes exactly on one bounding reference line of the
+    sector, the second on the other.
+    """
+    a1, a2 = line.a1, line.a2
+    if pair == (1, 2):
+        return ((rat(1), rat(0), -a1), (rat(0), rat(1), -a2))
+    if pair == (1, 3):
+        return ((rat(1), -a1 / a2, rat(0)), (rat(0), -1 / a2, rat(1)))
+    if pair == (2, 3):
+        return ((-a2 / a1, rat(1), rat(0)), (-1 / a1, rat(0), rat(1)))
+    raise ValueError(f"bad partial pair {pair}")
+
+
+def _form_at(form, p: Point2) -> Rat:
+    return form[0] * p.x1 + form[1] * p.x2 + form[2]
+
+
+def _clip_line_to_region(lform, constraints) -> Optional[Piece]:
+    """Clip the line {lform = 0} to an intersection of halfplanes {c >= 0}.
+
+    Returns a Segment, a Ray, or None when the intersection is empty or a
+    single point.
+    """
+    l1, l2, l0 = lform
+    if l2 != 0:
+        q = Point2(rat(0), -l0 / l2)
+    else:
+        q = Point2(-l0 / l1, rat(0))
+    d = Point2(-l2, l1)
+    lo = hi = None
+    for c in constraints:
+        v0 = _form_at(c, q)
+        v1 = c[0] * d.x1 + c[1] * d.x2
+        if v1 == 0:
+            if v0 < 0:
+                return None
+            continue
+        bound = -v0 / v1
+        if v1 > 0:
+            if lo is None or bound > lo:
+                lo = bound
+        else:
+            if hi is None or bound < hi:
+                hi = bound
+    if lo is not None and hi is not None:
+        if lo >= hi:
+            return None
+        return Segment.of(
+            Point2(q.x1 + lo * d.x1, q.x2 + lo * d.x2),
+            Point2(q.x1 + hi * d.x1, q.x2 + hi * d.x2),
+        )
+    if lo is not None:
+        return Ray.of(Point2(q.x1 + lo * d.x1, q.x2 + lo * d.x2), d.x1, d.x2)
+    if hi is not None:
+        return Ray.of(Point2(q.x1 + hi * d.x1, q.x2 + hi * d.x2), -d.x1, -d.x2)
+    raise AssertionError("section piece cannot be a full line inside a sector")
+
+
+def _construct_nonhorizontal(cone: ConeSpec) -> list[Piece]:
+    """Pieces of the section, solved sector by sector.
+
+    Between consecutive active reference rays both distances are linear, so
+    each side of P^S holds at most one line per sector, clipped exactly.
+    """
+    plane, line = cone.plane, cone.line
+    a_pt = line.point
+    rays = _sorted_active_rays(line)
+    n = len(rays)
+    kM = cone.kappa / plane.M
+    pform = (plane.A1, plane.A2, rat(plane.delta))
+    pieces: set[Piece] = set()
+
+    for idx in range(n):
+        i_ref, u_dir = rays[idx]
+        j_ref, v_dir = rays[(idx + 1) % n]
+        pair = (min(i_ref, j_ref), max(i_ref, j_ref))
+        form_u, form_w = _partial_forms(line, pair)
+        interior = Point2(a_pt.x1 + u_dir.x1 + v_dir.x1, a_pt.x2 + u_dir.x2 + v_dir.x2)
+        s_u = sign(_form_at(form_u, interior))
+        s_w = sign(_form_at(form_w, interior))
+        if s_u == 0 or s_w == 0:
+            raise AssertionError("partial-distance form vanishes inside a sector")
+        # closed sector {a + alpha u + beta v : alpha, beta >= 0} as halfplanes
+        su_v = sign(cross(u_dir, v_dir))
+        sector_constraints = []
+        for edge, other_sign in ((u_dir, su_v), (v_dir, -su_v)):
+            c1 = -edge.x2 * other_sign
+            c2 = edge.x1 * other_sign
+            sector_constraints.append((c1, c2, -(c1 * a_pt.x1 + c2 * a_pt.x2)))
+        for sigma in _SIGNS:
+            lform = tuple(
+                s_u * fu + s_w * fw - sigma * kM * fp
+                for fu, fw, fp in zip(form_u, form_w, pform)
+            )
+            if lform[0] == 0 and lform[1] == 0:
+                # no solution in this sector: an identically zero form would
+                # force A1 a1 + A2 a2 + delta = 0, which make_cone rejects
+                continue
+            constraints = list(sector_constraints)
+            side = (sigma * pform[0], sigma * pform[1], sigma * pform[2])
+            constraints.append(side)
+            piece = _clip_line_to_region(lform, constraints)
+            if piece is not None:
+                pieces.add(piece)
+    return sorted(pieces, key=piece_sort_key)
+
+
 @dataclass
 class ScanReport:
     points_checked: int
@@ -320,8 +435,6 @@ def _int_triple(values) -> list[int]:
 
 def sample_piece_points(piece, count: int, rng) -> list[Point2]:
     """Random rational points on a piece (interior parameters)."""
-    from .geometry import piece_point_at
-
     out = []
     for _ in range(count):
         num = rng.randrange(1, 1000)
@@ -337,8 +450,10 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG, rng=None) ->
     """Full verification report for one cone.
 
     Checks vertex exactness, residuals of sampled piece points, vertex
-    reproduction by bisection, and the exact-zero coverage of a padded grid
-    scan.  The report's "violations" list must be empty for a pass.
+    reproduction by bisection, the exact-zero coverage of a padded grid
+    scan, the pieces against the sector solver (non-horizontal lines) and
+    the piece topology against the class.  The report's "violations" list
+    must be empty for a pass.
     """
     import random
 
@@ -382,6 +497,15 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG, rng=None) ->
 
     scan = grid_residual_scan(cone, section, cfg=cfg)
     violations.extend(scan.violations)
+
+    if not cone.line.is_horizontal and _construct_nonhorizontal(cone) != section.pieces:
+        violations.append("pieces differ from the sector-by-sector rebuild")
+    try:
+        topology = section_topology(section.pieces)
+    except ValueError:
+        topology = "no conic"
+    if topology != section.klass:
+        violations.append(f"piece topology {topology} disagrees with class {section.klass}")
 
     return {
         "cone": {

@@ -2,16 +2,16 @@
 
 The section of a cone by the plane x3 = 1 is a piecewise-linear curve.  Its
 corners (vertices) sit on the active reference lines through a = ell cap S
-and have closed forms; between consecutive active reference rays the curve is
-a straight piece obtained by resolving the absolute values of the partial
-line distance and of the plane distance.  build_section solves that linear
-equation sector by sector and clips it exactly, which reproduces the
-connect-the-dots rules (segments for adjacent vertices, complementary rays
-for anti-adjacent ones, parallel rays toward vertices at infinity) without
-case analysis on vertex configurations.
+and have closed forms, and build_section joins them by the connect-the-dots
+rules: a segment for each adjacent pair of finite vertices, two
+complementary rays for each anti-adjacent pair, and a ray parallel to the
+reference line of each vertex at infinity, from each finite vertex adjacent
+to it.  The relations come from the angular order of the active reference
+rays around a and the sides of the trace line P^S.
 
 For a horizontal defining line only rho^3 exists and the section is four
-rays constructed from the auxiliary points on P^S.
+rays constructed from the auxiliary points on P^S.  oracle.verify_cone
+rebuilds the pieces sector by sector as an independent check.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ._rat import Rat, rat, sign
+from ._rat import rat
 from .cones import (
     INSIDE,
     OUTSIDE,
@@ -261,11 +261,12 @@ def _aux_family(slots, pair, location: ExtendedPoint):
     raise AssertionError("auxiliary point matches neither vertex-pair family")
 
 
-def auxiliary_points(cone: ConeSpec, verts: Optional[list[Vertex]] = None) -> list[AuxPoint]:
+def auxiliary_points(cone: ConeSpec, verts: Optional[list[Vertex]] = None, relations=None) -> list[AuxPoint]:
     """All auxiliary points on P^S with their activity flags.
 
-    verts are the section vertices, vertices(cone), computed here when not
-    given.  Raises HorizontalPlane when the defining plane is horizontal:
+    verts are the section vertices, vertices(cone), and relations their
+    finite relations from _relations; each is computed here when not given.
+    Raises HorizontalPlane when the defining plane is horizontal:
     there is no trace line and every auxiliary point escapes to infinity.
     """
     plane, line = cone.plane, cone.line
@@ -287,7 +288,10 @@ def auxiliary_points(cone: ConeSpec, verts: Optional[list[Vertex]] = None) -> li
     if single is None:
         # no dominance: all three reference lines are active
         slots = _slot_map(vertices(cone) if verts is None else verts)
-        related = {frozenset(key) for key, _ in _finite_relations(cone, slots)}
+        if relations is None:
+            rays = _sorted_active_rays(line)
+            relations, _ = _relations(line, slots, rays, trace_line_PS(plane))
+        related = {frozenset(key) for key, _ in relations}
     out = []
     for pair in pairs:
         for s in _SIGNS:
@@ -305,7 +309,7 @@ def auxiliary_points(cone: ConeSpec, verts: Optional[list[Vertex]] = None) -> li
 
 
 # ---------------------------------------------------------------------------
-# sector machinery (non-horizontal defining line)
+# connect-the-dots pieces and adjacency
 
 
 def _dir_half(d: Point2) -> int:
@@ -342,109 +346,73 @@ def _sorted_active_rays(line: LineParams) -> list[tuple[int, Point2]]:
     return rays
 
 
-def _partial_forms(line: LineParams, pair: tuple[int, int]):
-    """Linear forms (c1, c2, c0) of the two terms of d_pair on x3 = 1.
+def _relations(line: LineParams, slots, rays, trace: Optional[Line2]):
+    """Connect-the-dots relations between the vertices of a non-horizontal line.
 
-    The first form vanishes exactly on one bounding reference line of the
-    sector, the second on the other.
+    slots maps each active (index, sign) slot to its vertex location, rays
+    are _sorted_active_rays(line) and trace is P^S.  Returns (relations, links):
+
+    * relations: ((slot, slot), ADJACENT or ANTI_ADJACENT) for finite
+      vertices on distinct reference lines.  They are adjacent on one side of
+      the trace with consecutive reference rays around a, and anti-adjacent
+      on opposite sides with one ray consecutive to the other's opposite.  A
+      horizontal plane has no trace: all its vertices count as on one side.
+    * links: ((finite slot, infinite slot), e) when the ray v + t e from a
+      finite vertex v toward the vertex at infinity on rho^i is a piece.  e
+      is rho^i's direction oriented away from the trace (v is never on it,
+      and A1 d1 + A2 d2 != 0), and v's reference ray and rho^i's ray along e
+      must be consecutive.
     """
-    a1, a2 = line.a1, line.a2
-    if pair == (1, 2):
-        return ((rat(1), rat(0), -a1), (rat(0), rat(1), -a2))
-    if pair == (1, 3):
-        return ((rat(1), -a1 / a2, rat(0)), (rat(0), -1 / a2, rat(1)))
-    if pair == (2, 3):
-        return ((-a2 / a1, rat(1), rat(0)), (-1 / a1, rat(0), rat(1)))
-    raise ValueError(f"bad partial pair {pair}")
-
-
-def _form_at(form, p: Point2) -> Rat:
-    return form[0] * p.x1 + form[1] * p.x2 + form[2]
-
-
-def _clip_line_to_region(lform, constraints) -> Optional[Piece]:
-    """Clip the line {lform = 0} to an intersection of halfplanes {c >= 0}.
-
-    Returns a Segment, a Ray, or None when the intersection is empty or a
-    single point.
-    """
-    l1, l2, l0 = lform
-    if l2 != 0:
-        q = Point2(rat(0), -l0 / l2)
-    else:
-        q = Point2(-l0 / l1, rat(0))
-    d = Point2(-l2, l1)
-    lo = hi = None
-    for c in constraints:
-        v0 = _form_at(c, q)
-        v1 = c[0] * d.x1 + c[1] * d.x2
-        if v1 == 0:
-            if v0 < 0:
-                return None
-            continue
-        bound = -v0 / v1
-        if v1 > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
-    if lo is not None and hi is not None:
-        if lo >= hi:
-            return None
-        return Segment.of(
-            Point2(q.x1 + lo * d.x1, q.x2 + lo * d.x2),
-            Point2(q.x1 + hi * d.x1, q.x2 + hi * d.x2),
-        )
-    if lo is not None:
-        return Ray.of(Point2(q.x1 + lo * d.x1, q.x2 + lo * d.x2), d.x1, d.x2)
-    if hi is not None:
-        return Ray.of(Point2(q.x1 + hi * d.x1, q.x2 + hi * d.x2), -d.x1, -d.x2)
-    raise AssertionError("section piece cannot be a full line inside a sector")
-
-
-def _construct_nonhorizontal(cone: ConeSpec) -> list[Piece]:
-    """Pieces of the section, solved sector by sector."""
-    plane, line = cone.plane, cone.line
     a_pt = line.point
-    rays = _sorted_active_rays(line)
     n = len(rays)
-    kM = cone.kappa / plane.M
-    pform = (plane.A1, plane.A2, rat(plane.delta))
-    pieces: set[Piece] = set()
+    ray_pos = {ray: k for k, ray in enumerate(rays)}
 
-    for idx in range(n):
-        i_ref, u_dir = rays[idx]
-        j_ref, v_dir = rays[(idx + 1) % n]
-        pair = (min(i_ref, j_ref), max(i_ref, j_ref))
-        form_u, form_w = _partial_forms(line, pair)
-        interior = Point2(a_pt.x1 + u_dir.x1 + v_dir.x1, a_pt.x2 + u_dir.x2 + v_dir.x2)
-        s_u = sign(_form_at(form_u, interior))
-        s_w = sign(_form_at(form_w, interior))
-        if s_u == 0 or s_w == 0:
-            raise AssertionError("partial-distance form vanishes inside a sector")
-        # closed sector {a + alpha u + beta v : alpha, beta >= 0} as halfplanes
-        su_v = sign(cross(u_dir, v_dir))
-        sector_constraints = []
-        for edge, other_sign in ((u_dir, su_v), (v_dir, -su_v)):
-            c1 = -edge.x2 * other_sign
-            c2 = edge.x1 * other_sign
-            sector_constraints.append((c1, c2, -(c1 * a_pt.x1 + c2 * a_pt.x2)))
-        for sigma in _SIGNS:
-            lform = tuple(
-                s_u * fu + s_w * fw - sigma * kM * fp
-                for fu, fw, fp in zip(form_u, form_w, pform)
-            )
-            if lform[0] == 0 and lform[1] == 0:
-                # no solution in this sector: an identically zero form would
-                # force A1 a1 + A2 a2 + delta = 0, which make_cone rejects
+    def consecutive(p1, p2):
+        return (p1 - p2) % n in (1, n - 1)
+
+    finite = {key: ep.point for key, ep in slots.items() if ep.is_finite}
+    pos = {
+        key: ray_pos[(key[0], primitive_direction(p.x1 - a_pt.x1, p.x2 - a_pt.x2))]
+        for key, p in finite.items()
+    }
+    relations = []
+    keys = sorted(finite)
+    for ai, k1 in enumerate(keys):
+        for k2 in keys[ai + 1:]:
+            if k1[0] == k2[0]:
                 continue
-            constraints = list(sector_constraints)
-            side = (sigma * pform[0], sigma * pform[1], sigma * pform[2])
-            constraints.append(side)
-            piece = _clip_line_to_region(lform, constraints)
-            if piece is not None:
-                pieces.add(piece)
+            same = trace is None or side_of_line(trace, finite[k1]) == side_of_line(trace, finite[k2])
+            if same and consecutive(pos[k1], pos[k2]):
+                relations.append(((k1, k2), ADJACENT))
+            elif not same and consecutive(pos[k1], (pos[k2] + n // 2) % n):
+                relations.append(((k1, k2), ANTI_ADJACENT))
+    links = []
+    for inf_key, ep in slots.items():
+        if ep.is_finite:
+            continue
+        d = ep.direction
+        outward = trace.c1 * d.x1 + trace.c2 * d.x2 > 0
+        for key, p in finite.items():
+            e = d if (trace.value_at(p) > 0) == outward else Point2(-d.x1, -d.x2)
+            if consecutive(pos[key], ray_pos[(inf_key[0], e)]):
+                links.append(((key, inf_key), e))
+    return relations, links
+
+
+def _connect_the_dots(slots, relations, links) -> list[Piece]:
+    """Pieces from the vertex relations: a segment for each adjacent pair, two
+    complementary rays for each anti-adjacent pair, and a ray toward each
+    linked vertex at infinity."""
+    pieces: set[Piece] = set()
+    for (k1, k2), rel in relations:
+        p, q = slots[k1].point, slots[k2].point
+        if rel == ADJACENT:
+            pieces.add(Segment.of(p, q))
+        else:
+            pieces.add(Ray.of(p, p.x1 - q.x1, p.x2 - q.x2))
+            pieces.add(Ray.of(q, q.x1 - p.x1, q.x2 - p.x2))
+    for (key, _), e in links:
+        pieces.add(Ray.of(slots[key].point, e.x1, e.x2))
     return sorted(pieces, key=piece_sort_key)
 
 
@@ -462,82 +430,23 @@ def _construct_horizontal(verts: list[Vertex], aux: list[AuxPoint]) -> list[Piec
     return sorted(pieces, key=piece_sort_key)
 
 
-# ---------------------------------------------------------------------------
-# adjacency
+def adjacency(cone: ConeSpec):
+    """Adjacency relation between section vertices.
 
-
-def _finite_relations(cone: ConeSpec, slots):
-    """Relations between finite vertices on distinct active reference lines.
-
-    slots maps each active (index, sign) slot to its vertex location.
-    Returns a list of ((slot, slot), relation) with slots (index, sign).
+    The relations build_section joins into pieces (see _relations); a pair
+    with a vertex at infinity is adjacent.  A horizontal defining line
+    relates no vertices.
     """
     line = cone.line
     if line.is_horizontal:
         return []
-    a_pt = line.point
-    trace = trace_line_PS(cone.plane)
-    rays = _sorted_active_rays(line)
-    n = len(rays)
-    ray_pos = {(ref, d): k for k, (ref, d) in enumerate(rays)}
-    two_lines = len({ref for ref, _ in rays}) == 2
-    finite = {key: ep.point for key, ep in slots.items() if ep.is_finite}
-
-    def ray_key(key):
-        p = finite[key]
-        return (key[0], primitive_direction(p.x1 - a_pt.x1, p.x2 - a_pt.x2))
-
-    def consecutive(p1, p2):
-        return (p1 - p2) % n in (1, n - 1)
-
-    out = []
-    keys = sorted(finite)
-    for ai, k1 in enumerate(keys):
-        for k2 in keys[ai + 1:]:
-            if k1[0] == k2[0]:
-                continue
-            if trace is None:
-                same = True
-            else:
-                same = side_of_line(trace, finite[k1]) == side_of_line(trace, finite[k2])
-            r1, r2 = ray_key(k1), ray_key(k2)
-            p1, p2 = ray_pos[r1], ray_pos[r2]
-            opp2 = ray_pos[(r2[0], Point2(-r2[1].x1, -r2[1].x2))]
-            ray_adj = two_lines or consecutive(p1, p2)
-            ray_anti = two_lines or consecutive(p1, opp2)
-            if ray_adj and same:
-                out.append(((k1, k2), ADJACENT))
-            elif ray_anti and not same:
-                out.append(((k1, k2), ANTI_ADJACENT))
-    return out
-
-
-def adjacency(cone: ConeSpec):
-    """Adjacency relation between section vertices.
-
-    Finite pairs follow the ray-adjacency and trace-side rules directly;
-    pairs with one vertex at infinity are read off the constructed section
-    (a ray from a finite vertex parallel to a reference line realizes
-    adjacency with the vertex at infinity on that line).
-    """
     verts = vertices(cone)
     by_slot = {(v.ref_index, v.sign): v for v in verts}
-    slots = _slot_map(verts)
-    out = [
-        (by_slot[k1], by_slot[k2], rel)
-        for (k1, k2), rel in _finite_relations(cone, slots)
-    ]
-    if not cone.line.is_horizontal:
-        finite_at = {ep.point: key for key, ep in slots.items() if ep.is_finite}
-        infinite = [(key, ep.direction) for key, ep in slots.items() if not ep.is_finite]
-        links = set()
-        for piece in _construct_nonhorizontal(cone):
-            if isinstance(piece, Ray) and piece.base in finite_at:
-                for inf_key, d in infinite:
-                    if cross(piece.direction, d) == 0:
-                        links.add((finite_at[piece.base], inf_key))
-        for fin_key, inf_key in sorted(links):
-            out.append((by_slot[fin_key], by_slot[inf_key], ADJACENT))
+    rays, trace = _sorted_active_rays(line), trace_line_PS(cone.plane)
+    relations, links = _relations(line, _slot_map(verts), rays, trace)
+    out = [(by_slot[k1], by_slot[k2], rel) for (k1, k2), rel in relations]
+    for k1, k2 in sorted(key for key, _ in links):
+        out.append((by_slot[k1], by_slot[k2], ADJACENT))
     return out
 
 
@@ -569,71 +478,32 @@ def classify(cone: ConeSpec) -> str:
 
 
 def build_section(cone: ConeSpec) -> ConicSection:
-    """Construct the full conic section of a valid cone."""
+    """Construct the full conic section of a valid cone by connect-the-dots.
+
+    The vertices, the sorted active reference rays, the trace P^S and the
+    vertex relations are computed once; the relations give both the
+    activity of the auxiliary points and the pieces.  A horizontal defining
+    line instead takes its four rays from the auxiliary points.
+    """
     line = cone.line
     verts = vertices(cone)
-    try:
-        aux = auxiliary_points(cone, verts)
-    except HorizontalPlane:
-        aux = []
+    trace = trace_line_PS(cone.plane)
     if line.is_horizontal:
+        aux = auxiliary_points(cone, verts)
         pieces = _construct_horizontal(verts, aux)
     else:
-        pieces = _construct_nonhorizontal(cone)
+        slots = _slot_map(verts)
+        relations, links = _relations(line, slots, _sorted_active_rays(line), trace)
+        aux = [] if trace is None else auxiliary_points(cone, verts, relations)
+        pieces = _connect_the_dots(slots, relations, links)
     return ConicSection(
         klass=classify(cone),
         pieces=pieces,
         vertices=verts,
         aux_points=aux,
-        trace=trace_line_PS(cone.plane),
+        trace=trace,
         ref_lines=reference_lines(line),
     )
-
-
-def build_pieces_via_aux(cone: ConeSpec) -> list[Piece]:
-    """Alternative construction through the active auxiliary points.
-
-    Mirrors the auxiliary-ray characterization: on every line through an active
-    auxiliary point w, the section is the part between the two vertices on
-    it, or beyond the single vertex, away from w.  An active auxiliary point
-    at infinity contributes the segment between its finite generating
-    vertices.  For horizontal defining lines this is the authoritative
-    construction already used by build_section.
-    """
-    verts = vertices(cone)
-    aux_points = auxiliary_points(cone, verts)
-    if cone.line.is_horizontal:
-        return _construct_horizontal(verts, aux_points)
-    slots = _slot_map(verts)
-    trace = trace_line_PS(cone.plane)
-    pieces: set[Piece] = set()
-    for aux in aux_points:
-        if not aux.active:
-            continue
-        i, j = (int(c) for c in aux.pair[:-1].split(","))
-        combos = _aux_family(slots, (i, j), aux.location)
-        for si, sj in combos:
-            vi, vj = slots[(i, si)], slots[(j, sj)]
-            if not aux.location.is_finite:
-                # generating lines parallel to P^S: the piece is a segment
-                if vi.is_finite and vj.is_finite and trace is not None:
-                    if side_of_line(trace, vi.point) == side_of_line(trace, vj.point):
-                        pieces.add(Segment.of(vi.point, vj.point))
-                continue
-            w = aux.location.point
-            if vi.is_finite and vj.is_finite:
-                di = vi.point - w
-                dj = vj.point - w
-                if di.x1 * dj.x1 + di.x2 * dj.x2 > 0:
-                    pieces.add(Segment.of(vi.point, vj.point))
-                else:
-                    pieces.add(Ray.of(vi.point, di.x1, di.x2))
-                    pieces.add(Ray.of(vj.point, dj.x1, dj.x2))
-            elif vi.is_finite or vj.is_finite:
-                v = vi.point if vi.is_finite else vj.point
-                d = v - w
-                pieces.add(Ray.of(v, d.x1, d.x2))
-    return sorted(pieces, key=piece_sort_key)
 
 
 def section_topology(pieces: list[Piece]) -> str:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from taxiconics import cone_from_raw, rat
+from taxiconics import cone_from_raw, make_cone, normalize_line, normalize_plane, rat, vertices
 from taxiconics.errors import DegenerateCone, ZeroVector
 
 
@@ -54,6 +54,33 @@ def random_cone(
 def random_cones(n: int, seed: int, **kwargs) -> list:
     rng = random.Random(seed)
     return [random_cone(rng, **kwargs) for _ in range(n)]
+
+
+def random_vertex_at_infinity_cones(n: int, seed: int) -> list:
+    """Cones with at least one section vertex at infinity.
+
+    kappa is chosen so that M/kappa equals |A1|, |A2| or |A1 a1 + A2 a2|,
+    which puts the vertex on rho^1, rho^2 or rho^3 at infinity.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        try:
+            plane = normalize_plane(random_plane_triple(rng, allow_horizontal=False))
+            line = normalize_line(random_line_triple(rng, allow_horizontal=False))
+        except ZeroVector:
+            continue
+        if plane.is_horizontal:  # (0, 0, 1): no vertex ever escapes to infinity
+            continue
+        targets = [abs(plane.A1), abs(plane.A2), abs(plane.A1 * line.a1 + plane.A2 * line.a2)]
+        target = rng.choice([t for t in targets if t != 0])
+        try:
+            cone = make_cone(plane, line, plane.M / target)
+        except DegenerateCone:
+            continue
+        if any(not v.location.is_finite for v in vertices(cone)):
+            out.append(cone)
+    return out
 
 
 def random_steep_line_triple(rng: random.Random):

@@ -7,7 +7,6 @@ import json
 import random
 
 from taxiconics import (
-    build_pieces_via_aux,
     build_section,
     classify,
     cone_from_raw,
@@ -40,6 +39,7 @@ from taxiconics.errors import DegenerateCone
 from taxiconics.geometry import Point2, Ray, intersect_lines, piece_contains
 from taxiconics.oracle import (
     OracleConfig,
+    _construct_nonhorizontal,
     exact_residual,
     grid_residual_scan,
     sample_piece_points,
@@ -228,15 +228,13 @@ def test_acceptance_6_invariant_suites(cone_family):
             assert [
                 (a.pair, a.location) for a in auxiliary_points(rescaled)
             ] == [(a.pair, a.location) for a in aux]
-        # construction-method equivalence where both apply
-        if not cone.line.is_horizontal and not cone.plane.is_horizontal:
-            aux = auxiliary_points(cone)
-            if all(a.location.is_finite for a in aux if a.active):
-                assert build_pieces_via_aux(cone) == section.pieces
-                n_equiv += 1
+        # connect-the-dots pieces equal the sector-by-sector solution
+        if not cone.line.is_horizontal:
+            assert _construct_nonhorizontal(cone) == section.pieces
+            n_equiv += 1
         # classification vs topology
         assert section_topology(section.pieces) == section.klass
-    assert n_equiv > 300  # the equivalence branch is exercised substantially
+    assert n_equiv > 800  # every cone without a horizontal defining line
     _report(6, f"invariant suites on {len(cone_family)} random cones")
 
 

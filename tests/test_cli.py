@@ -115,6 +115,18 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_verify_fails_when_topology_disagrees_with_class(tmp_path, monkeypatch, capsys):
+    import taxiconics.oracle as oracle
+
+    monkeypatch.setattr(oracle, "section_topology", lambda pieces: "ellipse")
+    spec = write_spec(tmp_path, "fig8.json", FIG8)
+    out = tmp_path / "r.json"
+    assert main(["verify", spec, "--grid", "41", "-o", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["violations"] == ["piece topology ellipse disagrees with class hyperbola"]
+    assert "FAIL" in capsys.readouterr().err
+
+
 def test_atlas_values_and_worker_invariance(tmp_path):
     out1, out2 = tmp_path / "a1.json", tmp_path / "a2.json"
     args = ["atlas", "--plane", "2/3,1/5,1", "--kappa", "1", "--grid", "81"]

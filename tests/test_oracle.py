@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from taxiconics import build_section, cone_from_raw, point2, point3, rat, rat_str
+from taxiconics import build_section, cone_from_raw, point2, point3, rat, rat_str, section_topology
 from taxiconics.errors import DegenerateCone, NoSignChange, ZeroVector
 from taxiconics.geometry import Point2, piece_contains
 from taxiconics.oracle import (
@@ -30,6 +30,10 @@ def test_config_validation():
         OracleConfig(grid_n=10)
     with pytest.raises(ValueError):
         OracleConfig(grid_n=1)
+    # the CLI's MAX_GRID bounds library callers too
+    assert OracleConfig(grid_n=1001).grid_n == 1001
+    with pytest.raises(ValueError, match="between 3 and 1001"):
+        OracleConfig(grid_n=1003)
     with pytest.raises(ValueError):
         OracleConfig(tol=0)
 
@@ -116,6 +120,25 @@ def test_verify_cone_horizontal():
     assert report["passed"]
     assert report["vertices_checked"] == 2
     assert report["vertices_bisected"] == report["vertices_checked"]
+
+
+def test_verify_cone_reports_a_sector_rebuild_mismatch(monkeypatch):
+    import taxiconics.oracle as oracle
+
+    cone = cone_from_raw(*FIG8)
+    real = oracle._construct_nonhorizontal
+    monkeypatch.setattr(oracle, "_construct_nonhorizontal", lambda c: real(c)[1:])
+    report = verify_cone(cone, OracleConfig(grid_n=41))
+    assert report["violations"] == ["pieces differ from the sector-by-sector rebuild"]
+    assert not report["passed"]
+
+
+def test_verify_cone_reports_pieces_that_form_no_conic(monkeypatch):
+    import taxiconics.oracle as oracle
+
+    monkeypatch.setattr(oracle, "section_topology", lambda pieces: section_topology([]))
+    report = verify_cone(cone_from_raw(*FIG8), OracleConfig(grid_n=41))
+    assert report["violations"] == ["piece topology no conic disagrees with class hyperbola"]
 
 
 ACCEPTANCE_CONES = [

@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from taxiconics import (
     Ray,
     Segment,
     adjacency,
     auxiliary_points,
-    build_pieces_via_aux,
     build_section,
     classify,
     cone_from_raw,
+    make_cone,
+    normalize_line,
+    normalize_plane,
     point2,
     rat,
     section_from_json,
@@ -20,12 +24,12 @@ from taxiconics import (
     trace_line_PS,
     vertices,
 )
-from taxiconics.errors import HorizontalPlane
+from taxiconics.errors import DegenerateCone, HorizontalPlane, ZeroVector
 from taxiconics.geometry import Point2, piece_contains, piece_point_at
-from taxiconics.oracle import exact_residual, sample_piece_points
+from taxiconics.oracle import _construct_nonhorizontal, exact_residual, sample_piece_points
 from taxiconics.sections import ADJACENT, ANTI_ADJACENT, vertex_slot
 
-from conftest import random_cone
+from conftest import random_cone, random_cones, random_vertex_at_infinity_cones
 
 FIG8 = ((rat(1, 2), rat(1, 5), 1), (rat(3, 2), 1, 1), 2)
 FIG11 = ((rat(1, 2), rat(1, 3), 1), (3, 1, 0), 1)
@@ -296,19 +300,61 @@ def test_construction_agrees_with_aux_point_at_infinity():
     cone = cone_from_raw((1, 1, 1), (0, 0, 1), 1)
     aux = {a.pair: a for a in auxiliary_points(cone)}
     assert aux["1,2+"].active and not aux["1,2+"].location.is_finite
-    assert build_pieces_via_aux(cone) == build_section(cone).pieces
+    assert _construct_nonhorizontal(cone) == build_section(cone).pieces
 
 
 def test_construction_methods_agree():
     rng = random.Random(24)
-    checked = 0
-    while checked < 150:
-        cone = random_cone(rng, allow_horizontal_plane=False, allow_horizontal_line=False)
-        aux = auxiliary_points(cone)
-        if not all(a.location.is_finite for a in aux if a.active):
-            continue
-        assert build_pieces_via_aux(cone) == build_section(cone).pieces
-        checked += 1
+    for _ in range(150):
+        cone = random_cone(rng, allow_horizontal_line=False)
+        assert _construct_nonhorizontal(cone) == build_section(cone).pieces
+
+
+def test_rays_toward_vertices_at_infinity_of_an_inactive_aux_family():
+    # cone 408 of random_cones(2000, seed=1): v1+ and v2+ are at infinity and
+    # "1,2-" is an inactive auxiliary point, yet the finite vertices v2- and
+    # v1- each carry a ray toward one of them
+    cone = random_cones(2000, seed=1)[408]
+    assert (cone.plane.A1, cone.plane.A2, cone.line.a1, cone.line.a2, cone.kappa) == (
+        1, 1, rat(-13, 8), rat(-13, 8), 1
+    )
+    aux = {a.pair: a for a in auxiliary_points(cone)}
+    assert not aux["1,2-"].active
+    pieces = build_section(cone).pieces
+    assert Ray.of(point2(rat(-13, 8), rat(-1, 2)), -1, 0) in pieces
+    assert Ray.of(point2(rat(-1, 2), rat(-13, 8)), 0, -1) in pieces
+    assert pieces == _construct_nonhorizontal(cone)
+
+
+def test_construction_agrees_with_sector_solver_at_infinity():
+    cones = random_vertex_at_infinity_cones(1000, seed=20240811)
+    for cone in cones:
+        assert _construct_nonhorizontal(cone) == build_section(cone).pieces
+    # every reference line carries a vertex at infinity somewhere in the draw
+    refs = {v.ref_index for c in cones for v in vertices(c) if not v.location.is_finite}
+    assert refs == {1, 2, 3}
+
+
+rationals = st.builds(rat, st.integers(-24, 24), st.integers(1, 8))
+
+
+@settings(deadline=None, max_examples=150)
+@given(rationals, rationals, st.sampled_from([0, 1]), rationals, rationals,
+       st.sampled_from([0, 1, 2, 3]), st.builds(rat, st.integers(1, 24), st.integers(1, 6)))
+def test_construction_agrees_with_sector_solver_hypothesis(A1, A2, delta, a1, a2, pick, kappa):
+    try:
+        plane, line = normalize_plane((A1, A2, delta)), normalize_line((a1, a2, 1))
+    except ZeroVector:
+        assume(False)
+    # pick 1..3 puts the vertex on rho^pick at infinity when that is possible
+    targets = [abs(plane.A1), abs(plane.A2), abs(plane.A1 * line.a1 + plane.A2 * line.a2)]
+    if pick and targets[pick - 1] != 0:
+        kappa = plane.M / targets[pick - 1]
+    try:
+        cone = make_cone(plane, line, kappa)
+    except DegenerateCone:
+        assume(False)
+    assert _construct_nonhorizontal(cone) == build_section(cone).pieces
 
 
 def test_classification_matches_topology():
@@ -396,14 +442,19 @@ def test_section_json_round_trip():
 
 
 def test_build_section_computes_each_vertex_slot_once(monkeypatch):
+    # and the sorted reference rays and the trace line at most once per cone
     import taxiconics.sections as sections
 
     calls = []
-    real = sections.vertex_slot
 
-    def counting(cone, index, sgn):
-        calls.append((index, sgn))
-        return real(cone, index, sgn)
+    def counting(name):
+        real = getattr(sections, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
 
     rng = random.Random(32)
     for _ in range(60):
@@ -411,6 +462,9 @@ def test_build_section_computes_each_vertex_slot_once(monkeypatch):
         active_slots = len(vertices(cone))
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(sections, "vertex_slot", counting)
+            for name in ("vertex_slot", "_sorted_active_rays", "trace_line_PS"):
+                m.setattr(sections, name, counting(name))
             build_section(cone)
-        assert len(calls) <= active_slots
+        assert calls.count("vertex_slot") <= active_slots
+        assert calls.count("_sorted_active_rays") <= 1
+        assert calls.count("trace_line_PS") <= 1
