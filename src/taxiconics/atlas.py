@@ -19,8 +19,8 @@ from .errors import NonPositiveKappa
 from .sections import ELLIPSE, HYPERBOLA, PARABOLA
 
 DEFAULT_BBOX = ("-2", "-2", "2", "2")
-# Upper bound on the grid size of atlas, ukappa and verify (CLI and
-# OracleConfig): the cost grows with its square, and at 1001 one run already
+# Upper bound on the grid size of atlas, ukappa and verify, enforced by
+# grid_axes: the cost grows with its square, and at 1001 one run already
 # evaluates a million grid points.
 MAX_GRID = 1001
 
@@ -37,8 +37,8 @@ def _side(lhs: int, rhs: int) -> int:
 def grid_axes(bbox, n: int) -> tuple[list[int], list[int], int]:
     """The n x n grid over bbox = (x0, y0, x1, y1) as integers over one
     common denominator d: column k is at x = xs[k]/d and row k at y = ys[k]/d."""
-    if n < 2:
-        raise ValueError(f"a grid needs at least 2 points per axis, got {n}")
+    if not 2 <= n <= MAX_GRID:
+        raise ValueError(f"a grid needs at least 2 points per axis and at most {MAX_GRID}, got {n}")
     x0, y0, x1, y1 = (rat(c) for c in bbox)
     axes = [(x0, (x1 - x0) / (n - 1)), (y0, (y1 - y0) / (n - 1))]
     d = lcm(*(int(v.denominator) for axis in axes for v in axis))

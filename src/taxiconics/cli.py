@@ -55,12 +55,6 @@ def _parse_bbox(text: str | None):
     return tuple(parts)
 
 
-def _check_grid(n: int) -> int:
-    if not 2 <= n <= MAX_GRID:
-        raise ValueError(f"--grid must be between 2 and {MAX_GRID}, got {n}")
-    return n
-
-
 def _check_verify_grid(n: int) -> int:
     if n % 2 == 0 or not 3 <= n <= MAX_GRID:
         raise ValueError(f"verify --grid must be odd and between 3 and {MAX_GRID}, got {n}")
@@ -107,7 +101,7 @@ def _cmd_atlas(args) -> int:
     bbox = _parse_bbox(args.bbox)
     kappa = rat(args.kappa)
     _check_width(args.width)
-    rows = atlas_sweep(plane, kappa, _check_grid(args.grid), bbox)
+    rows = atlas_sweep(plane, kappa, args.grid, bbox)
     payload = {
         "plane": plane.to_json(),
         "kappa": rat_str(kappa),
@@ -124,7 +118,7 @@ def _cmd_ukappa(args) -> int:
     bbox = _parse_bbox(args.bbox)
     kappa = rat(args.kappa)
     _check_width(args.width)
-    rows, bad = ukappa_sweep(kappa, _check_grid(args.grid), bbox)
+    rows, bad = ukappa_sweep(kappa, args.grid, bbox)
     payload = {
         "kappa": rat_str(kappa),
         "bbox": list(bbox),

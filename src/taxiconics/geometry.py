@@ -145,6 +145,42 @@ def line_through(p: Point2, q: Point2) -> Line2:
     return Line2.of(c1, c2, c0)
 
 
+def point_on_line(c1, c2, c0) -> Point2:
+    """A point of c1*x1 + c2*x2 + c0 = 0: on the x2-axis unless the line is vertical."""
+    if c2 != 0:
+        return Point2(rat(0), -c0 / c2)
+    return Point2(-c0 / c1, rat(0))
+
+
+def clip_interval(terms, lo=None, hi=None) -> Optional[tuple]:
+    """Narrow the parameter range [lo, hi] (None: unbounded) to the t with
+    v0 + t*v1 >= 0 for every (v0, v1) in terms.
+
+    Returns None when what is left is empty or a single point.
+    """
+    for v0, v1 in terms:
+        if v1 == 0:
+            if v0 < 0:
+                return None
+            continue
+        bound = -v0 / v1
+        if v1 > 0:
+            if lo is None or bound > lo:
+                lo = bound
+        elif hi is None or bound < hi:
+            hi = bound
+    if lo is not None and hi is not None and lo >= hi:
+        return None
+    return lo, hi
+
+
+def padded_box(points, pad) -> tuple[Rat, Rat, Rat, Rat]:
+    """(xmin, ymin, xmax, ymax) of a nonempty point list, widened by pad."""
+    pad = rat(pad)
+    xs, ys = [p.x1 for p in points], [p.x2 for p in points]
+    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+
+
 def intersect_lines(g: Line2, h: Line2) -> ExtendedPoint:
     if g == h:
         raise IdenticalLines(f"lines coincide: {g}")

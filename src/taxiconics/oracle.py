@@ -18,11 +18,23 @@ import numpy as np
 
 from ._rat import Rat, rat, rat_str, sign
 from .atlas import MAX_GRID, grid_axes
-from .cones import ConeSpec, LineParams
+from .cones import ConeSpec, LineParams, cone_to_json
 from .errors import NoSignChange
-from .geometry import Piece, Point2, Ray, Segment, cross, piece_contains, piece_point_at, piece_sort_key
+from .geometry import (
+    Piece,
+    Point2,
+    Ray,
+    Segment,
+    clip_interval,
+    cross,
+    padded_box,
+    piece_contains,
+    piece_point_at,
+    piece_sort_key,
+    point_on_line,
+)
 from .metric import Point3, dist_to_line, dist_to_plane
-from .sections import _SIGNS, ConicSection, _sorted_active_rays, build_section, section_topology
+from .sections import _SIGNS, ConicSection, _sorted_active_rays, build_section, finite_points, section_topology
 
 
 @dataclass(frozen=True)
@@ -201,20 +213,10 @@ def exact_residual(cone: ConeSpec, p: Point2) -> Rat:
 
 def section_bbox(section: ConicSection, pad=1) -> tuple[Rat, Rat, Rat, Rat]:
     """Bounding box of the finite features of a section, padded."""
-    xs, ys = [], []
-    for piece in section.pieces:
-        pts = (piece.a, piece.b) if isinstance(piece, Segment) else (piece.base,)
-        for p in pts:
-            xs.append(p.x1)
-            ys.append(p.x2)
-    for v in section.vertices:
-        if v.location.is_finite:
-            xs.append(v.location.point.x1)
-            ys.append(v.location.point.x2)
-    if not xs:
+    points = list(finite_points(section))
+    if not points:
         raise ValueError("the section has no finite pieces or vertices to bound")
-    pad = rat(pad)
-    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    return padded_box(points, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -247,38 +249,18 @@ def _clip_line_to_region(lform, constraints) -> Optional[Piece]:
     Returns a Segment, a Ray, or None when the intersection is empty or a
     single point.
     """
-    l1, l2, l0 = lform
-    if l2 != 0:
-        q = Point2(rat(0), -l0 / l2)
-    else:
-        q = Point2(-l0 / l1, rat(0))
-    d = Point2(-l2, l1)
-    lo = hi = None
-    for c in constraints:
-        v0 = _form_at(c, q)
-        v1 = c[0] * d.x1 + c[1] * d.x2
-        if v1 == 0:
-            if v0 < 0:
-                return None
-            continue
-        bound = -v0 / v1
-        if v1 > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
+    q = point_on_line(*lform)
+    d = Point2(-lform[1], lform[0])
+    t = clip_interval((_form_at(c, q), c[0] * d.x1 + c[1] * d.x2) for c in constraints)
+    if t is None:
+        return None
+    lo, hi = t
     if lo is not None and hi is not None:
-        if lo >= hi:
-            return None
-        return Segment.of(
-            Point2(q.x1 + lo * d.x1, q.x2 + lo * d.x2),
-            Point2(q.x1 + hi * d.x1, q.x2 + hi * d.x2),
-        )
+        return Segment.of(q + d.scaled(lo), q + d.scaled(hi))
     if lo is not None:
-        return Ray.of(Point2(q.x1 + lo * d.x1, q.x2 + lo * d.x2), d.x1, d.x2)
+        return Ray.of(q + d.scaled(lo), d.x1, d.x2)
     if hi is not None:
-        return Ray.of(Point2(q.x1 + hi * d.x1, q.x2 + hi * d.x2), -d.x1, -d.x2)
+        return Ray.of(q + d.scaled(hi), -d.x1, -d.x2)
     raise AssertionError("section piece cannot be a full line inside a sector")
 
 
@@ -508,11 +490,7 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG, rng=None) ->
         violations.append(f"piece topology {topology} disagrees with class {section.klass}")
 
     return {
-        "cone": {
-            "A": [rat_str(cone.plane.A1), rat_str(cone.plane.A2), str(cone.plane.delta)],
-            "a": [rat_str(cone.line.a1), rat_str(cone.line.a2), str(cone.line.a3)],
-            "kappa": rat_str(cone.kappa),
-        },
+        "cone": cone_to_json(cone),
         "class": section.klass,
         "vertices_checked": len(finite_vertices),
         "piece_points_checked": sampled,

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._rat import rat
-from .geometry import Line2, Point2, Segment
-from .sections import ConicSection
+from .geometry import Line2, Point2, Segment, clip_interval, padded_box, point_on_line
+from .sections import ConicSection, finite_points
 
 
 def _check_width(width: int):
@@ -44,32 +44,6 @@ def _fmt(v: float) -> str:
     return f"{float(v):.12g}"
 
 
-def _clip_param(q: Point2, d: Point2, t_lo, t_hi, box):
-    """Clip q + t d, t in [t_lo, t_hi] (None = unbounded), to a rational box."""
-    xmin, ymin, xmax, ymax = box
-    lo, hi = t_lo, t_hi
-    for c0, c1 in (
-        (q.x1 - xmin, d.x1),  # x >= xmin
-        (xmax - q.x1, -d.x1),  # x <= xmax
-        (q.x2 - ymin, d.x2),
-        (ymax - q.x2, -d.x2),
-    ):
-        if c1 == 0:
-            if c0 < 0:
-                return None
-            continue
-        bound = -c0 / c1
-        if c1 > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
-    if lo is None or hi is None or lo > hi:
-        return None
-    return lo, hi
-
-
 class _Canvas:
     def __init__(self, box, width):
         self.box = tuple(rat(c) for c in box)
@@ -94,31 +68,25 @@ class _Canvas:
             f'<path d="M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}" {style}/>'
         )
 
+    def clipped(self, q: Point2, d: Point2, style: str, lo=None, hi=None) -> Optional[str]:
+        """Path of q + t d, t in [lo, hi] (None: unbounded), clipped to the box."""
+        xmin, ymin, xmax, ymax = self.box
+        t = clip_interval(
+            ((q.x1 - xmin, d.x1), (xmax - q.x1, -d.x1), (q.x2 - ymin, d.x2), (ymax - q.x2, -d.x2)),
+            lo,
+            hi,
+        )
+        if t is None:
+            return None
+        return self.path(q + d.scaled(t[0]), q + d.scaled(t[1]), style)
+
     def clipped_piece(self, piece, style: str) -> Optional[str]:
         if isinstance(piece, Segment):
-            q, d = piece.a, piece.b - piece.a
-            t = _clip_param(q, d, rat(0), rat(1), self.box)
-        else:
-            q, d = piece.base, piece.direction
-            t = _clip_param(q, d, rat(0), None, self.box)
-        if t is None or t[0] == t[1]:
-            return None
-        p0 = Point2(q.x1 + t[0] * d.x1, q.x2 + t[0] * d.x2)
-        p1 = Point2(q.x1 + t[1] * d.x1, q.x2 + t[1] * d.x2)
-        return self.path(p0, p1, style)
+            return self.clipped(piece.a, piece.b - piece.a, style, rat(0), rat(1))
+        return self.clipped(piece.base, piece.direction, style, rat(0))
 
     def clipped_line(self, g: Line2, style: str) -> Optional[str]:
-        if g.c2 != 0:
-            q = Point2(rat(0), -g.c0 / g.c2)
-        else:
-            q = Point2(-g.c0 / g.c1, rat(0))
-        d = g.direction()
-        t = _clip_param(q, d, None, None, self.box)
-        if t is None or t[0] == t[1]:
-            return None
-        p0 = Point2(q.x1 + t[0] * d.x1, q.x2 + t[0] * d.x2)
-        p1 = Point2(q.x1 + t[1] * d.x1, q.x2 + t[1] * d.x2)
-        return self.path(p0, p1, style)
+        return self.clipped(point_on_line(g.c1, g.c2, g.c0), g.direction(), style)
 
     def marker(self, p: Point2, radius: float, style: str) -> str:
         x, y = self.to_px(p)
@@ -135,24 +103,9 @@ def _svg_document(canvas: _Canvas, body: list[str]) -> str:
 
 
 def default_viewport(section: ConicSection, pad=1):
-    xs, ys = [], []
-    for piece in section.pieces:
-        pts = (piece.a, piece.b) if isinstance(piece, Segment) else (piece.base,)
-        for p in pts:
-            xs.append(p.x1)
-            ys.append(p.x2)
-    for v in section.vertices:
-        if v.location.is_finite:
-            xs.append(v.location.point.x1)
-            ys.append(v.location.point.x2)
-    for a in section.aux_points:
-        if a.active and a.location.is_finite:
-            xs.append(a.location.point.x1)
-            ys.append(a.location.point.x2)
-    if not xs:
-        xs, ys = [rat(0)], [rat(0)]
-    pad = rat(pad)
-    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    points = list(finite_points(section))
+    points += [a.location.point for a in section.aux_points if a.active and a.location.is_finite]
+    return padded_box(points or [Point2(rat(0), rat(0))], pad)
 
 
 def render_section(section: ConicSection, spec: Optional[RenderSpec] = None) -> str:

@@ -9,6 +9,11 @@ reference line of each vertex at infinity, from each finite vertex adjacent
 to it.  The relations come from the angular order of the active reference
 rays around a and the sides of the trace line P^S.
 
+The auxiliary points are where P^S meets fixed lines: through a along
+r_i -/+ r_j for each pair of reference directions, or, for a horizontal
+defining line, parallel to ell through (0, -/+1) and (-/+1, 0).  They do not
+depend on kappa (see auxiliary_points).
+
 For a horizontal defining line only rho^3 exists and the section is four
 rays constructed from the auxiliary points on P^S.  oracle.verify_cone
 rebuilds the pieces sector by sector as an independent check.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from ._rat import rat
 from .cones import (
@@ -43,10 +48,8 @@ from .geometry import (
     Ray,
     Segment,
     cross,
-    line_through,
     piece_sort_key,
     primitive_direction,
-    projective_direction,
     side_of_line,
 )
 
@@ -98,6 +101,15 @@ class ConicSection:
     trace: Optional[Line2]
     ref_lines: list[tuple[int, Line2, bool]]
     warnings: list[str] = field(default_factory=list)
+
+
+def finite_points(section: ConicSection) -> Iterator[Point2]:
+    """Piece endpoints and finite vertices of a section."""
+    for piece in section.pieces:
+        yield from ((piece.a, piece.b) if isinstance(piece, Segment) else (piece.base,))
+    for v in section.vertices:
+        if v.location.is_finite:
+            yield v.location.point
 
 
 # ---------------------------------------------------------------------------
@@ -180,131 +192,66 @@ def _slot_map(verts: list[Vertex]) -> dict[tuple[int, int], ExtendedPoint]:
 # auxiliary points
 
 
-def _ps_infinity(plane: PlaneParams) -> ExtendedPoint:
-    return ExtendedPoint.at_infinity(-plane.A2, plane.A1)
+def _ps_meet(plane: PlaneParams, p, w) -> ExtendedPoint:
+    """Where P^S meets the line p + t w; at infinity when they are parallel."""
+    den = plane.A1 * w[0] + plane.A2 * w[1]
+    if den == 0:
+        return ExtendedPoint.at_infinity(-plane.A2, plane.A1)
+    t = -(plane.A1 * p[0] + plane.A2 * p[1] + plane.delta) / den
+    return ExtendedPoint.finite(Point2(p[0] + t * w[0], p[1] + t * w[1]))
 
 
-def aux_formula(plane: PlaneParams, line: LineParams, pair: tuple[int, int], sgn: int) -> ExtendedPoint:
-    """Auxiliary-point formula for a non-horizontal defining line."""
-    A1, A2, d = plane.A1, plane.A2, rat(plane.delta)
-    a1, a2 = line.a1, line.a2
-    if pair == (1, 2):
-        den = -A1 + sgn * A2
-        if den == 0:
-            return _ps_infinity(plane)
-        x1 = (sgn * A2 * a1 + A2 * a2 + d) / den
-        x2 = (A1 * a1 + sgn * A1 * a2 + d) / (sgn * A1 - A2)
-        return ExtendedPoint.finite(Point2(x1, x2))
-    if pair == (1, 3):
-        den = A1 * a1 + A2 * a2 + sgn * A1
-        if den == 0:
-            return _ps_infinity(plane)
-        x1 = -(d * a1 + sgn * A2 * a2 + sgn * d) / den
-        x2 = (sgn * A1 * a2 - d * a2) / den
-        return ExtendedPoint.finite(Point2(x1, x2))
-    if pair == (2, 3):
-        den = A1 * a1 + A2 * a2 + sgn * A2
-        if den == 0:
-            return _ps_infinity(plane)
-        x1 = (sgn * A2 * a1 - d * a1) / den
-        x2 = -(sgn * A1 * a1 + d * a2 + sgn * d) / den
-        return ExtendedPoint.finite(Point2(x1, x2))
-    raise ValueError(f"bad reference pair {pair}")
-
-
-def aux_formula_horizontal(plane: PlaneParams, line: LineParams, family: str, sgn: int) -> ExtendedPoint:
-    A1, A2, d = plane.A1, plane.A2, rat(plane.delta)
-    a1, a2 = line.a1, line.a2
-    den = A1 * a1 + A2 * a2  # nonzero: equals the cone incidence for a3 = 0
-    if family == "I":
-        x1 = (sgn * A2 * a1 - d * a1) / den
-        x2 = -(sgn * A1 * a1 + d * a2) / den
-    elif family == "II":
-        x1 = -(sgn * A2 * a2 + d * a1) / den
-        x2 = (sgn * A1 * a2 - d * a2) / den
-    else:
-        raise ValueError(f"bad horizontal family {family}")
-    return ExtendedPoint.finite(Point2(x1, x2))
-
-
-def _combo_line(slots, i: int, si: int, j: int, sj: int) -> Optional[Line2]:
-    """Line through vertices v^{i si} and v^{j sj}; None if both at infinity."""
-    vi, vj = slots[(i, si)], slots[(j, sj)]
-    if vi.is_finite and vj.is_finite:
-        return line_through(vi.point, vj.point)
-    if vi.is_finite or vj.is_finite:
-        fin = vi.point if vi.is_finite else vj.point
-        d = (vj if vi.is_finite else vi).direction
-        return Line2.of(d.x2, -d.x1, -(d.x2 * fin.x1 - d.x1 * fin.x2))
-    return None
-
-
-_FAMILIES = ((( 1,  1), (-1, -1)), ((1, -1), (-1, 1)))
-
-
-def _aux_family(slots, pair, location: ExtendedPoint):
-    """Which pair of sign combos generates this auxiliary point."""
-    i, j = pair
-    for combos in _FAMILIES:
-        for si, sj in combos:
-            gamma = _combo_line(slots, i, si, j, sj)
-            if gamma is None:
-                continue
-            if location.is_finite:
-                if side_of_line(gamma, location.point) == 0:
-                    return combos
-            else:
-                d = gamma.direction()
-                if projective_direction(d.x1, d.x2) == location.direction:
-                    return combos
-            break  # one constructible combo decides the family
-    raise AssertionError("auxiliary point matches neither vertex-pair family")
-
-
-def auxiliary_points(cone: ConeSpec, verts: Optional[list[Vertex]] = None, relations=None) -> list[AuxPoint]:
+def auxiliary_points(cone: ConeSpec, relations=None) -> list[AuxPoint]:
     """All auxiliary points on P^S with their activity flags.
 
-    verts are the section vertices, vertices(cone), and relations their
-    finite relations from _relations; each is computed here when not given.
-    Raises HorizontalPlane when the defining plane is horizontal:
-    there is no trace line and every auxiliary point escapes to infinity.
+    Each point is where P^S meets a line p + t w, so none depends on kappa.
+    For a non-horizontal line, pair (i, j) and label sign s, p = a and
+    w = r_i - sigma r_j, with r_1 = (1, 0), r_2 = (0, 1), r_3 = (a1, a2)
+    and sigma = s for (1, 2), -s for (1, 3) and (2, 3).  The lines through
+    the vertex pairs v^{i s_i}, v^{j s_j} with s_i s_j = sigma meet P^S at
+    the same point.  Under dominance only the points of active_partial_pair
+    are active; otherwise a point is active iff one of those vertex pairs is
+    in relations, the finite relations from _relations (computed here when
+    not given).
+
+    For a horizontal line, family I (II) with sign s has p = (0, -s)
+    ((-s, 0)) and w = (a1, a2); I is active iff |a1| >= |a2|, II iff
+    |a2| >= |a1|.  Raises HorizontalPlane when the defining plane is
+    horizontal: there is no trace line and every auxiliary point escapes
+    to infinity.
     """
     plane, line = cone.plane, cone.line
     if plane.is_horizontal:
         raise HorizontalPlane("a horizontal defining plane has no trace line P^S")
+    a = (line.a1, line.a2)
     if line.is_horizontal:
-        active_i = abs(line.a1) >= abs(line.a2)
-        active_ii = abs(line.a2) >= abs(line.a1)
         out = []
-        for family, active in (("I", active_i), ("II", active_ii)):
+        for family, active in (("I", abs(a[0]) >= abs(a[1])), ("II", abs(a[1]) >= abs(a[0]))):
             for s in _SIGNS:
-                loc = aux_formula_horizontal(plane, line, family, s)
-                out.append(AuxPoint(f"{family}{_SIGN_CHAR[s]}", loc, active))
+                p = (0, -s) if family == "I" else (-s, 0)
+                out.append(AuxPoint(f"{family}{_SIGN_CHAR[s]}", _ps_meet(plane, p, a), active))
         return out
 
-    indices = _defined_indices(line)
-    pairs = [(i, j) for k, i in enumerate(indices) for j in indices[k + 1:]]
     single = active_partial_pair(line)
     if single is None:
         # no dominance: all three reference lines are active
-        slots = _slot_map(vertices(cone) if verts is None else verts)
         if relations is None:
-            rays = _sorted_active_rays(line)
-            relations, _ = _relations(line, slots, rays, trace_line_PS(plane))
+            slots = _slot_map(vertices(cone))
+            relations, _ = _relations(line, slots, _sorted_active_rays(line), trace_line_PS(plane))
         related = {frozenset(key) for key, _ in relations}
+    refs = {1: (1, 0), 2: (0, 1), 3: a}
+    indices = _defined_indices(line)
     out = []
-    for pair in pairs:
-        for s in _SIGNS:
-            loc = aux_formula(plane, line, pair, s)
-            if single is not None:
-                active = pair == single
-            else:
-                combos = _aux_family(slots, pair, loc)
-                active = any(
-                    frozenset(((pair[0], si), (pair[1], sj))) in related
-                    for si, sj in combos
-                )
-            out.append(AuxPoint(f"{pair[0]},{pair[1]}{_SIGN_CHAR[s]}", loc, active))
+    for k, i in enumerate(indices):
+        for j in indices[k + 1:]:
+            for s in _SIGNS:
+                sigma = s if (i, j) == (1, 2) else -s
+                w = (refs[i][0] - sigma * refs[j][0], refs[i][1] - sigma * refs[j][1])
+                if single is not None:
+                    active = (i, j) == single
+                else:
+                    active = any(frozenset(((i, si), (j, sigma * si))) in related for si in _SIGNS)
+                out.append(AuxPoint(f"{i},{j}{_SIGN_CHAR[s]}", _ps_meet(plane, a, w), active))
     return out
 
 
@@ -489,12 +436,12 @@ def build_section(cone: ConeSpec) -> ConicSection:
     verts = vertices(cone)
     trace = trace_line_PS(cone.plane)
     if line.is_horizontal:
-        aux = auxiliary_points(cone, verts)
+        aux = auxiliary_points(cone)
         pieces = _construct_horizontal(verts, aux)
     else:
         slots = _slot_map(verts)
         relations, links = _relations(line, slots, _sorted_active_rays(line), trace)
-        aux = [] if trace is None else auxiliary_points(cone, verts, relations)
+        aux = [] if trace is None else auxiliary_points(cone, relations)
         pieces = _connect_the_dots(slots, relations, links)
     return ConicSection(
         klass=classify(cone),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxiconics import classify, make_cone, normalize_line, normalize_plane, rat, rat_str
-from taxiconics.atlas import atlas_sweep, ukappa_sweep
+from taxiconics.atlas import MAX_GRID, atlas_sweep, ukappa_sweep
 from taxiconics.errors import DegenerateCone, NonPositiveKappa, ZeroVector
 from taxiconics.geometry import Point2
 from taxiconics.special import u_kappa_check
@@ -181,3 +181,11 @@ def test_sweeps_reject_grids_below_two(n):
         atlas_sweep(plane, 1, n)
     with pytest.raises(ValueError, match="at least 2 points"):
         ukappa_sweep(1, n)
+
+
+def test_sweeps_reject_grids_above_max_grid():
+    plane = normalize_plane((2, -3, 1))
+    with pytest.raises(ValueError, match=f"at most {MAX_GRID}"):
+        atlas_sweep(plane, 1, MAX_GRID + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_GRID}"):
+        ukappa_sweep(1, MAX_GRID + 1)

@@ -25,9 +25,18 @@ from taxiconics import (
     vertices,
 )
 from taxiconics.errors import DegenerateCone, HorizontalPlane, ZeroVector
-from taxiconics.geometry import Point2, piece_contains, piece_point_at
+from taxiconics.cones import active_partial_pair
+from taxiconics.geometry import (
+    Line2,
+    Point2,
+    cross,
+    line_through,
+    piece_contains,
+    piece_point_at,
+    projective_direction,
+)
 from taxiconics.oracle import _construct_nonhorizontal, exact_residual, sample_piece_points
-from taxiconics.sections import ADJACENT, ANTI_ADJACENT, vertex_slot
+from taxiconics.sections import ADJACENT, ANTI_ADJACENT, _relations, _sorted_active_rays, vertex_slot
 
 from conftest import random_cone, random_cones, random_vertex_at_infinity_cones
 
@@ -144,26 +153,92 @@ def test_fig8_aux_point_values():
     assert {p for p, a in aux.items() if a.active} == {"1,2-", "1,3-", "2,3-"}
 
 
-def test_aux_generating_lines_pass_through_aux():
-    from taxiconics.sections import _aux_family, _combo_line, _slot_map
+# ---------------------------------------------------------------------------
+# auxiliary points against the vertex-pair line search they replaced
 
-    rng = random.Random(19)
-    checked = 0
-    while checked < 120:
-        cone = random_cone(rng, allow_horizontal_line=False, allow_horizontal_plane=False)
-        slots = _slot_map(vertices(cone))
-        for aux in auxiliary_points(cone):
-            if not aux.active or not aux.location.is_finite:
+
+def _combo_line(slots, i, si, j, sj):
+    """Line through vertices v^{i si} and v^{j sj}; None if it is not
+    constructible (both at infinity, or the two slots coincide)."""
+    vi, vj = slots[(i, si)], slots[(j, sj)]
+    if vi.is_finite and vj.is_finite:
+        return None if vi.point == vj.point else line_through(vi.point, vj.point)
+    if vi.is_finite or vj.is_finite:
+        fin = vi.point if vi.is_finite else vj.point
+        d = (vj if vi.is_finite else vi).direction
+        return Line2.of(d.x2, -d.x1, -(d.x2 * fin.x1 - d.x1 * fin.x2))
+    return None
+
+
+def _on_line(g, location):
+    if location.is_finite:
+        return side_of_line(g, location.point) == 0
+    d = g.direction()
+    return projective_direction(d.x1, d.x2) == location.direction
+
+
+def reference_family(slots, pair, location):
+    """Sign product s_i s_j of the vertex pairs whose lines pass through an
+    auxiliary point, by search: the first constructible line of each sign
+    product decides."""
+    i, j = pair
+    for product in (1, -1):
+        for si in (1, -1):
+            gamma = _combo_line(slots, i, si, j, product * si)
+            if gamma is None:
                 continue
-            i, j = (int(c) for c in aux.pair[:-1].split(","))
-            combos = _aux_family(slots, (i, j), aux.location)
-            for si, sj in combos:
-                gamma = _combo_line(slots, i, si, j, sj)
-                if gamma is None:
-                    continue
-                if slots[(i, si)].is_finite and slots[(j, sj)].is_finite:
-                    assert side_of_line(gamma, aux.location.point) == 0
+            if _on_line(gamma, location):
+                return product
+            break
+    raise AssertionError("auxiliary point matches neither vertex-pair family")
+
+
+def check_aux_on_vertex_pair_lines(cone):
+    """Every auxiliary point lies on each constructible line through a
+    vertex pair with s_i s_j = sigma, and its active flag is the one the
+    family search gives.  Returns the points and the number of those lines."""
+    line = cone.line
+    aux = {a.pair: a for a in auxiliary_points(cone)}
+    if line.is_horizontal:
+        a = point2(line.a1, line.a2)
+        for label, base in (("I+", (0, -1)), ("I-", (0, 1)), ("II+", (-1, 0)), ("II-", (1, 0))):
+            assert cross(aux[label].location.point - point2(*base), a) == 0
+        return aux.values(), 4
+    slots = slot_map(vertices(cone, include_inactive=True))
+    single = active_partial_pair(line)
+    active_slots = slot_map(vertices(cone))
+    relations, _ = _relations(line, active_slots, _sorted_active_rays(line), trace_line_PS(cone.plane))
+    related = {frozenset(key) for key, _ in relations}
+    n_lines = 0
+    for point in aux.values():
+        i, j = (int(c) for c in point.pair[:-1].split(","))
+        s = 1 if point.pair[-1] == "+" else -1
+        sigma = s if (i, j) == (1, 2) else -s
+        lines = [g for si in (1, -1) if (g := _combo_line(slots, i, si, j, sigma * si)) is not None]
+        assert all(_on_line(g, point.location) for g in lines)
+        n_lines += len(lines)
+        if single is not None:
+            assert point.active == ((i, j) == single)
+        else:
+            family = reference_family(active_slots, (i, j), point.location)
+            assert point.active == any(
+                frozenset(((i, si), (j, family * si))) in related for si in (1, -1)
+            )
+    return aux.values(), n_lines
+
+
+def test_aux_points_on_vertex_pair_lines(cone_family):
+    checked = lines = at_infinity = horizontal = 0
+    cones = random_vertex_at_infinity_cones(1000, seed=20240811)
+    for cone in cone_family + cones:
+        if cone.plane.is_horizontal:
+            continue
+        aux, n_lines = check_aux_on_vertex_pair_lines(cone)
         checked += 1
+        lines += n_lines
+        horizontal += cone.line.is_horizontal
+        at_infinity += any(not a.location.is_finite for a in aux)
+    assert checked > 1900 and lines > 10 * checked and horizontal > 50 and at_infinity > 20
 
 
 def test_adjacency_unit_circle():
@@ -355,6 +430,26 @@ def test_construction_agrees_with_sector_solver_hypothesis(A1, A2, delta, a1, a2
     except DegenerateCone:
         assume(False)
     assert _construct_nonhorizontal(cone) == build_section(cone).pieces
+
+
+@settings(deadline=None, max_examples=150)
+@given(rationals, rationals, st.sampled_from([0, 1]), rationals, rationals, st.sampled_from([0, 1]),
+       st.sampled_from([0, 1, 2, 3]), st.builds(rat, st.integers(1, 24), st.integers(1, 6)))
+def test_aux_points_on_vertex_pair_lines_hypothesis(A1, A2, delta, a1, a2, a3, pick, kappa):
+    try:
+        plane, line = normalize_plane((A1, A2, delta)), normalize_line((a1, a2, a3))
+    except ZeroVector:
+        assume(False)
+    assume(not plane.is_horizontal)
+    # pick 1..3 puts the vertex on rho^pick at infinity when that is possible
+    targets = [abs(plane.A1), abs(plane.A2), abs(plane.A1 * line.a1 + plane.A2 * line.a2)]
+    if pick and not line.is_horizontal and targets[pick - 1] != 0:
+        kappa = plane.M / targets[pick - 1]
+    try:
+        cone = make_cone(plane, line, kappa)
+    except DegenerateCone:
+        assume(False)
+    check_aux_on_vertex_pair_lines(cone)
 
 
 def test_classification_matches_topology():
