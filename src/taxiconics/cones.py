@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from ._rat import Rat, rat, rat_str
 from .errors import DegenerateCone, NonPositiveKappa, ZeroVector
-from .geometry import Line2, Point2
+from .geometry import Line2, Point2, projective_direction
 from .metric import DominanceClass, dominance_class
 
 # plane steepness
@@ -108,18 +107,6 @@ class CharStrip:
         return abs(self.A1 * p.x1 + self.A2 * p.x2)
 
 
-def _canonical_pair(u: Rat, v: Rat) -> tuple[Rat, Rat]:
-    """Scale a nonzero rational pair to coprime integers, leading one positive."""
-    den = int(u.denominator) * int(v.denominator)
-    a, b = int(u * den), int(v * den)
-    g = gcd(abs(a), abs(b))
-    a, b = a // g, b // g
-    lead = a if a != 0 else b
-    if lead < 0:
-        a, b = -a, -b
-    return Rat(a), Rat(b)
-
-
 def normalize_plane(raw) -> PlaneParams:
     r1, r2, r3 = (rat(c) for c in raw)
     if r1 == 0 and r2 == 0 and r3 == 0:
@@ -127,7 +114,7 @@ def normalize_plane(raw) -> PlaneParams:
     if r3 != 0:
         A1, A2, delta = r1 / r3, r2 / r3, 1
     else:
-        A1, A2 = _canonical_pair(r1, r2)
+        A1, A2 = projective_direction(r1, r2)
         delta = 0
     m12 = max(abs(A1), abs(A2))
     M = max(m12, rat(delta))
@@ -151,7 +138,7 @@ def normalize_line(raw) -> LineParams:
     if r3 != 0:
         a1, a2, a3 = r1 / r3, r2 / r3, 1
     else:
-        a1, a2 = _canonical_pair(r1, r2)
+        a1, a2 = projective_direction(r1, r2)
         a3 = 0
     dom = dominance_class((a1, a2, a3))
     if a3 == 0:
@@ -202,23 +189,33 @@ def active_partial_pair(line: LineParams) -> Optional[tuple[int, int]]:
     return (j, k)
 
 
-def reference_lines(line: LineParams) -> list[tuple[int, Line2, bool]]:
-    """Defined reference lines as (index, line, active).
+def reference_directions(line: LineParams) -> dict:
+    """Directions r_i of the defined reference lines rho^i = b + t r_i.
 
-    rho^1: x2 = a2 and rho^2: x1 = a1 exist only for non-horizontal lines;
-    rho^3: a1*x2 = a2*x1 exists unless ell is a coordinate axis.
+    r_1 = (1, 0), r_2 = (0, 1) and r_3 = (a1, a2) through b = a; rho^3 is
+    undefined when ell is the x3-axis.  A horizontal line defines only
+    rho^3, through the origin.
     """
-    out: list[tuple[int, Line2, bool]] = []
     if line.is_horizontal:
-        rho3 = Line2.of(line.a2, -line.a1, 0)
-        return [(3, rho3, True)]
-    pair = active_partial_pair(line)
-    active = {1, 2, 3} if pair is None else set(pair)
-    out.append((1, Line2.of(0, 1, -line.a2), 1 in active))
-    out.append((2, Line2.of(1, 0, -line.a1), 2 in active))
+        return {3: (line.a1, line.a2)}
+    refs = {1: (1, 0), 2: (0, 1)}
     if line.a1 != 0 or line.a2 != 0:
-        out.append((3, Line2.of(line.a2, -line.a1, 0), 3 in active))
-    return out
+        refs[3] = (line.a1, line.a2)
+    return refs
+
+
+def reference_lines(line: LineParams) -> list[tuple[int, Line2, bool]]:
+    """Defined reference lines as (index, line, active); see reference_directions."""
+    if line.is_horizontal:
+        b, active = (0, 0), {3}
+    else:
+        pair = active_partial_pair(line)
+        b = (line.a1, line.a2)
+        active = {1, 2, 3} if pair is None else set(pair)
+    return [
+        (i, Line2.of(r[1], -r[0], r[0] * b[1] - r[1] * b[0]), i in active)
+        for i, r in reference_directions(line).items()
+    ]
 
 
 def characterizing_strip(cone: ConeSpec) -> CharStrip:

@@ -5,7 +5,9 @@ minimized by a dense scan plus ternary refinement of the convex map
 t -> sum |x_i - a_i t|; vertices are re-found by bisection of
 d(x, ell) - kappa d(x, P) along reference lines; the section pieces are
 checked against an exact-residual scan on a rational grid, against a
-sector-by-sector rebuild, and their topology against the class.
+sector-by-sector rebuild, and their topology against the class.  The float
+scans use plain Python floats; _linspace reproduces numpy.linspace bit for
+bit, so the package needs no numeric library.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Optional
-
-import numpy as np
 
 from ._rat import Rat, rat, rat_str, sign
 from .atlas import MAX_GRID, grid_axes
@@ -36,58 +36,60 @@ from .geometry import (
 from .metric import Point3, dist_to_line, dist_to_plane
 from .sections import _SIGNS, ConicSection, _sorted_active_rays, build_section, finite_points, section_topology
 
+# the float oracles: dense scan of t over [-T_RANGE, T_RANGE], then at most
+# REFINE_ITERS ternary or bisection steps down to an interval of TOL / 16
+T_RANGE = 100.0
+T_STEPS = 10001
+REFINE_ITERS = 200
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     grid_n: int = 201
-    t_scan_range: float = 100.0
-    t_scan_steps: int = 10001
-    refine_iters: int = 200
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.grid_n % 2 == 0 or not 3 <= self.grid_n <= MAX_GRID:
             raise ValueError(f"grid_n must be odd and between 3 and {MAX_GRID}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 DEFAULT_CONFIG = OracleConfig()
 
 
-def _line_f_numpy(x, a, ts):
-    return (
-        np.abs(float(x[0]) - float(a[0]) * ts)
-        + np.abs(float(x[1]) - float(a[1]) * ts)
-        + np.abs(float(x[2]) - float(a[2]) * ts)
-    )
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy.linspace(lo, hi, n) exactly: lo + k step, with hi itself last."""
+    lo, hi = float(lo), float(hi)
+    step = (hi - lo) / (n - 1)
+    return [lo + k * step for k in range(n - 1)] + [hi]
 
 
-def numeric_dist_to_line(x, a_triple, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def numeric_dist_to_line(x, a_triple) -> float:
     """min_t sum |x_i - a_i t| by dense scan plus ternary refinement."""
-    xs = tuple(x)
-    ts = np.linspace(-cfg.t_scan_range, cfg.t_scan_range, cfg.t_scan_steps)
-    values = _line_f_numpy(xs, a_triple, ts)
-    k = int(np.argmin(values))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, len(ts) - 1)]
+    x1, x2, x3 = (float(c) for c in x)
+    a1, a2, a3 = (float(c) for c in a_triple)
 
     def f(t):
-        return sum(abs(float(c) - float(ai) * t) for c, ai in zip(xs, a_triple))
+        return abs(x1 - a1 * t) + abs(x2 - a2 * t) + abs(x3 - a3 * t)
 
-    for _ in range(cfg.refine_iters):
+    ts = _linspace(-T_RANGE, T_RANGE, T_STEPS)
+    # f inlined, as the scan is most of the oracle's time
+    values = [abs(x1 - a1 * t) + abs(x2 - a2 * t) + abs(x3 - a3 * t) for t in ts]
+    k = values.index(min(values))
+    lo = ts[max(k - 1, 0)]
+    hi = ts[min(k + 1, len(ts) - 1)]
+    for _ in range(REFINE_ITERS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if f(m1) < f(m2):
             hi = m2
         else:
             lo = m1
-        if hi - lo < cfg.tol / 16:
+        if hi - lo < TOL / 16:
             break
     return f((lo + hi) / 2.0)
 
 
-def numeric_dist_to_plane(x, a_triple, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def numeric_dist_to_plane(x, a_triple) -> float:
     """min over plane points of the taxicab distance, by iterative grid zoom.
 
     The plane A . y = 0 is parametrized by the two coordinates with the
@@ -108,12 +110,12 @@ def numeric_dist_to_plane(x, a_triple, cfg: OracleConfig = DEFAULT_CONFIG) -> fl
     half = max(1.0, 2.0 * sum(abs(c) for c in xs))
     best = dist(cu, cv)
     for _ in range(60):
-        us = np.linspace(cu - half, cu + half, 41)
-        vs = np.linspace(cv - half, cv + half, 41)
+        us = _linspace(cu - half, cu + half, 41)
+        vs = _linspace(cv - half, cv + half, 41)
         grid = [(dist(u, v), u, v) for u in us for v in vs]
         best, cu, cv = min(grid)
         half *= 0.1
-        if half < cfg.tol / 16:
+        if half < TOL / 16:
             break
     return best
 
@@ -151,7 +153,6 @@ def vertex_bisection(
     cone: ConeSpec,
     ref_index: int,
     interval: tuple[float, float],
-    cfg: OracleConfig = DEFAULT_CONFIG,
 ) -> float:
     """Root of d(x, ell) - kappa d(x, P) on a reference line by bisection."""
     g = _g_along_ref(cone, ref_index)
@@ -163,7 +164,7 @@ def vertex_bisection(
         return hi
     if (glo > 0) == (ghi > 0):
         raise NoSignChange(f"g({lo}) = {glo} and g({hi}) = {ghi} have equal signs")
-    for _ in range(cfg.refine_iters):
+    for _ in range(REFINE_ITERS):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if gm == 0.0:
@@ -172,7 +173,7 @@ def vertex_bisection(
             lo, glo = mid, gm
         else:
             hi, ghi = mid, gm
-        if hi - lo < cfg.tol / 16:
+        if hi - lo < TOL / 16:
             break
     return 0.5 * (lo + hi)
 
@@ -182,25 +183,24 @@ def scan_reference_roots(
     ref_index: int,
     window: tuple[float, float] = (-50.0, 50.0),
     steps: int = 4001,
-    cfg: OracleConfig = DEFAULT_CONFIG,
 ) -> list[float]:
     """All bracketed roots of g along a reference line inside a window."""
     g = _g_along_ref(cone, ref_index)
-    ts = np.linspace(window[0], window[1], steps)
-    values = [g(float(t)) for t in ts]
+    ts = _linspace(window[0], window[1], steps)
+    values = [g(t) for t in ts]
     roots = []
     for k in range(len(ts) - 1):
         v0, v1 = values[k], values[k + 1]
         if v0 == 0.0:
-            roots.append(float(ts[k]))
+            roots.append(ts[k])
         elif (v0 > 0) != (v1 > 0):
-            roots.append(vertex_bisection(cone, ref_index, (float(ts[k]), float(ts[k + 1])), cfg))
+            roots.append(vertex_bisection(cone, ref_index, (ts[k], ts[k + 1])))
     if values[-1] == 0.0:
-        roots.append(float(ts[-1]))
+        roots.append(ts[-1])
     # merge near-duplicates from exact hits adjacent to sign changes
     merged: list[float] = []
     for r in sorted(roots):
-        if not merged or abs(r - merged[-1]) > 16 * cfg.tol:
+        if not merged or abs(r - merged[-1]) > 16 * TOL:
             merged.append(r)
     return merged
 
@@ -469,7 +469,7 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG, rng=None) ->
                if w is not v and w.ref_index == v.ref_index]
         )
         try:
-            root = vertex_bisection(cone, v.ref_index, (t - half, t + half), cfg)
+            root = vertex_bisection(cone, v.ref_index, (t - half, t + half))
         except NoSignChange:
             violations.append(f"no sign change around vertex {v.label}")
             continue

@@ -1,8 +1,10 @@
 """Conic-section construction: vertices, auxiliary points, pieces, class.
 
 The section of a cone by the plane x3 = 1 is a piecewise-linear curve.  Its
-corners (vertices) sit on the active reference lines through a = ell cap S
-and have closed forms, and build_section joins them by the connect-the-dots
+corners (vertices) sit on the active reference lines rho^i = a + t r_i
+through a = ell cap S, with r_1 = (1, 0), r_2 = (0, 1), r_3 = (a1, a2)
+(cones.reference_directions).  Each has one closed form, a + (e/den) r_i
+(see vertex_slot), and build_section joins them by the connect-the-dots
 rules: a segment for each adjacent pair of finite vertices, two
 complementary rays for each anti-adjacent pair, and a ray parallel to the
 reference line of each vertex at infinity, from each finite vertex adjacent
@@ -14,14 +16,14 @@ r_i -/+ r_j for each pair of reference directions, or, for a horizontal
 defining line, parallel to ell through (0, -/+1) and (-/+1, 0).  They do not
 depend on kappa (see auxiliary_points).
 
-For a horizontal defining line only rho^3 exists and the section is four
-rays constructed from the auxiliary points on P^S.  oracle.verify_cone
-rebuilds the pieces sector by sector as an independent check.
+For a horizontal defining line only rho^3 exists, through the origin, and
+the section is four rays constructed from the auxiliary points on P^S.
+oracle.verify_cone rebuilds the pieces sector by sector as an independent
+check.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -35,6 +37,7 @@ from .cones import (
     PlaneParams,
     active_partial_pair,
     characterizing_strip,
+    reference_directions,
     reference_lines,
     strip_position,
     trace_line_PS,
@@ -47,7 +50,6 @@ from .geometry import (
     Point2,
     Ray,
     Segment,
-    cross,
     piece_sort_key,
     primitive_direction,
     side_of_line,
@@ -116,15 +118,6 @@ def finite_points(section: ConicSection) -> Iterator[Point2]:
 # vertices
 
 
-def _defined_indices(line: LineParams) -> list[int]:
-    if line.is_horizontal:
-        return [3]
-    idx = [1, 2]
-    if line.a1 != 0 or line.a2 != 0:
-        idx.append(3)
-    return idx
-
-
 def active_indices(line: LineParams) -> list[int]:
     if line.is_horizontal:
         return [3]
@@ -135,36 +128,27 @@ def active_indices(line: LineParams) -> list[int]:
 def vertex_slot(cone: ConeSpec, index: int, sgn: int) -> ExtendedPoint:
     """Vertex formula value for one (reference line, sign) slot.
 
-    Defined whether or not the reference line is active; a zero denominator
-    puts the vertex at infinity along the reference line's direction.
+    Defined whether or not the reference line is active.  On rho^i = a + t r_i
+    the vertex is a + (e/den) r_i with e the incidence and
+    den = sgn M/kappa - (A1 r_i1 + A2 r_i2); den = 0 puts it at infinity along
+    r_i.  For a horizontal line it is r (a1, a2) with
+    r = -(delta + sgn M/kappa)/e.
     """
     plane, line = cone.plane, cone.line
+    refs = reference_directions(line)
+    if index not in refs:
+        raise ValueError(f"rho^{index} is undefined for line {line.to_json()}")
     mk = plane.M / cone.kappa
-    if line.is_horizontal:
-        if index != 3:
-            raise ValueError("horizontal lines only carry vertices on rho^3")
-        r = (plane.delta + sgn * mk) / (-cone.incidence)
-        return ExtendedPoint.finite(Point2(line.a1 * r, line.a2 * r))
     e = cone.incidence
-    if index == 1:
-        den = sgn * mk - plane.A1
-        if den == 0:
-            return ExtendedPoint.at_infinity(1, 0)
-        return ExtendedPoint.finite(Point2(line.a1 + e / den, line.a2))
-    if index == 2:
-        den = sgn * mk - plane.A2
-        if den == 0:
-            return ExtendedPoint.at_infinity(0, 1)
-        return ExtendedPoint.finite(Point2(line.a1, line.a2 + e / den))
-    if index == 3:
-        if line.a1 == 0 and line.a2 == 0:
-            raise ValueError("rho^3 is undefined for a coordinate-axis line")
-        den = sgn * mk - (plane.A1 * line.a1 + plane.A2 * line.a2)
-        if den == 0:
-            return ExtendedPoint.at_infinity(line.a1, line.a2)
-        r = 1 + e / den
+    if line.is_horizontal:
+        r = (plane.delta + sgn * mk) / (-e)
         return ExtendedPoint.finite(Point2(line.a1 * r, line.a2 * r))
-    raise ValueError(f"bad reference index {index}")
+    r1, r2 = refs[index]
+    den = sgn * mk - (plane.A1 * r1 + plane.A2 * r2)
+    if den == 0:
+        return ExtendedPoint.at_infinity(r1, r2)
+    t = e / den
+    return ExtendedPoint.finite(Point2(line.a1 + t * r1, line.a2 + t * r2))
 
 
 def vertices(cone: ConeSpec, include_inactive: bool = False) -> list[Vertex]:
@@ -173,15 +157,12 @@ def vertices(cone: ConeSpec, include_inactive: bool = False) -> list[Vertex]:
     include_inactive also reports the formula values on inactive reference
     lines (which are not on the section); intended for verification.
     """
-    line = cone.line
-    indices = _defined_indices(line) if include_inactive else [
-        i for i in _defined_indices(line) if i in active_indices(line)
+    active = active_indices(cone.line)
+    return [
+        Vertex(i, s, vertex_slot(cone, i, s))
+        for i in reference_directions(cone.line) if include_inactive or i in active
+        for s in _SIGNS
     ]
-    out = []
-    for i in indices:
-        for s in _SIGNS:
-            out.append(Vertex(i, s, vertex_slot(cone, i, s)))
-    return out
 
 
 def _slot_map(verts: list[Vertex]) -> dict[tuple[int, int], ExtendedPoint]:
@@ -239,8 +220,8 @@ def auxiliary_points(cone: ConeSpec, relations=None) -> list[AuxPoint]:
             slots = _slot_map(vertices(cone))
             relations, _ = _relations(line, slots, _sorted_active_rays(line), trace_line_PS(plane))
         related = {frozenset(key) for key, _ in relations}
-    refs = {1: (1, 0), 2: (0, 1), 3: a}
-    indices = _defined_indices(line)
+    refs = reference_directions(line)
+    indices = list(refs)
     out = []
     for k, i in enumerate(indices):
         for j in indices[k + 1:]:
@@ -259,37 +240,22 @@ def auxiliary_points(cone: ConeSpec, relations=None) -> list[AuxPoint]:
 # connect-the-dots pieces and adjacency
 
 
-def _dir_half(d: Point2) -> int:
-    # 0 for angles in [0, pi), 1 for [pi, 2 pi)
-    if d.x2 > 0 or (d.x2 == 0 and d.x1 > 0):
-        return 0
-    return 1
-
-
-def _dir_cmp(u: Point2, v: Point2) -> int:
-    hu, hv = _dir_half(u), _dir_half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = cross(u, v)
-    if c == 0:
-        return 0
-    return -1 if c > 0 else 1
+def _angle_key(d: Point2):
+    """Exact angle order in [0, 2 pi): x/(|x| + |y|) falls from 1 to -1 over
+    the upper half-turn and rises back over the lower one."""
+    x = d.x1 / (abs(d.x1) + abs(d.x2))
+    return (0, -x) if d.x2 > 0 or (d.x2 == 0 and d.x1 > 0) else (1, x)
 
 
 def _sorted_active_rays(line: LineParams) -> list[tuple[int, Point2]]:
     """Active reference rays around a, sorted by exact angle."""
-    base_dirs = {
-        1: Point2(rat(1), rat(0)),
-        2: Point2(rat(0), rat(1)),
-    }
-    if line.a1 != 0 or line.a2 != 0:
-        base_dirs[3] = primitive_direction(line.a1, line.a2)
+    refs = reference_directions(line)
     rays = []
     for i in active_indices(line):
-        d = base_dirs[i]
+        d = primitive_direction(*refs[i])
         rays.append((i, d))
         rays.append((i, Point2(-d.x1, -d.x2)))
-    rays.sort(key=functools.cmp_to_key(lambda a, b: _dir_cmp(a[1], b[1])))
+    rays.sort(key=lambda ray: _angle_key(ray[1]))
     return rays
 
 

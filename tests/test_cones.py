@@ -32,6 +32,9 @@ def test_normalize_plane_examples():
     assert (p.A1, p.A2, p.M, p.steepness) == (rat(2), rat(0), rat(2), "steep")
     p = normalize_plane((3, 0, 0))
     assert (p.A1, p.A2, p.delta, p.steepness) == (rat(1), rat(0), 0, "vertical")
+    # delta = 0 collapses the double cover: the leading nonzero entry is positive
+    assert normalize_plane((rat(-3, 2), 0, 0)) == p
+    assert (normalize_plane((-2, 4, 0)).A1, normalize_plane((0, -4, 0)).A2) == (1, 1)
     assert normalize_plane((0, 0, 7)).steepness == "horizontal"
     assert normalize_plane((1, 1, 1)).steepness == "transitional"
     with pytest.raises(ZeroVector):
@@ -45,6 +48,7 @@ def test_normalize_line_examples():
     assert (l.a1, l.a2, l.a3, l.klass) == (rat(0), rat(0), 1, "steep")
     l = normalize_line((6, 2, 0))
     assert (l.a1, l.a2, l.a3, l.klass) == (rat(3), rat(1), 0, "horizontal")
+    assert normalize_line((-6, -2, 0)) == l
     assert normalize_line((1, 0, 2)).klass == "steep"
     assert normalize_line((4, 0, 2)).klass == "shallow"
     assert normalize_line((2, 1, 1)).klass == "transitional"

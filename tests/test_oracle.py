@@ -1,6 +1,9 @@
 import dataclasses
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +15,7 @@ from taxiconics.geometry import Point2, piece_contains
 from taxiconics.oracle import (
     OracleConfig,
     ScanReport,
+    _linspace,
     exact_residual,
     grid_residual_scan,
     numeric_dist_to_line,
@@ -34,14 +38,45 @@ def test_config_validation():
     assert OracleConfig(grid_n=1001).grid_n == 1001
     with pytest.raises(ValueError, match="between 3 and 1001"):
         OracleConfig(grid_n=1003)
-    with pytest.raises(ValueError):
-        OracleConfig(tol=0)
 
 
 def test_numeric_dist_to_line_examples():
     assert abs(numeric_dist_to_line(point3(0, 0, 1), (3, 1, 0)) - 1.0) < 1e-9
     assert abs(numeric_dist_to_line(point3(6, 2, 0), (3, 1, 0))) < 1e-9
     assert abs(numeric_dist_to_line(point3(1, 2, 3), (0, 0, 1)) - 3.0) < 1e-9
+
+
+def test_linspace_matches_numpy():
+    np = pytest.importorskip("numpy")
+    # the line oracle's scan, the scan_reference_roots windows of the tests
+    cases = [(-100.0, 100.0, 10001), (-50.0, 50.0, 4001), (-4, 4, 801), (-4, 4, 1601), (-30, 30, 3001)]
+    # the plane oracle's zoom windows, centre -/+ half with 41 points
+    rng = random.Random(7)
+    for _ in range(300):
+        centre, half = rng.uniform(-20, 20), 10.0 ** rng.randint(-11, 2)
+        cases.append((centre - half, centre + half, 41))
+    for lo, hi, n in cases:
+        assert _linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+
+
+def test_library_imports_without_numpy():
+    # the CLI module loads no numpy, and the oracles run with it unimportable
+    code = """
+import sys
+import taxiconics.cli
+assert "numpy" not in sys.modules
+sys.modules["numpy"] = None
+from taxiconics import cone_from_raw, point3, rat
+from taxiconics.oracle import OracleConfig, numeric_dist_to_line, numeric_dist_to_plane, verify_cone
+cone = cone_from_raw((rat(2, 3), rat(1, 5), 1), (rat(9, 10), rat(9, 10), 1), 1)
+assert verify_cone(cone, OracleConfig(grid_n=11))["passed"]
+assert abs(numeric_dist_to_line(point3(0, 0, 1), (3, 1, 0)) - 1.0) < 1e-9
+assert abs(numeric_dist_to_plane(point3(rat(9, 10), rat(9, 10), 1), (rat(2, 3), rat(1, 5), 1)) - 1.78) < 1e-7
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_vertex_bisection_fig8():
