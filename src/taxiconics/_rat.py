@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 Rat = Fraction
@@ -40,6 +41,19 @@ def parse_rat(text: str) -> Rat:
     if den == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Rat(num, den)
+
+
+def rats(values, n: int) -> list[Rat]:
+    """A JSON list of exactly n rationals, coerced with rat."""
+    if not isinstance(values, list) or len(values) != n:
+        raise ValueError(f"expected a list of {n} rationals, got {values!r}")
+    return [rat(v) for v in values]
+
+
+def as_integers(values) -> tuple[list[int], int]:
+    """Rationals scaled by the lcm d of their denominators, as integers, and d."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def rat_str(value) -> str:

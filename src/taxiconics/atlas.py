@@ -11,9 +11,7 @@ overflow.  Per-cell `classify` stays the reference the tests compare with.
 
 from __future__ import annotations
 
-from math import lcm
-
-from ._rat import rat, rat_str
+from ._rat import as_integers, rat, rat_str
 from .cones import PlaneParams
 from .errors import NonPositiveKappa
 from .sections import ELLIPSE, HYPERBOLA, PARABOLA
@@ -39,15 +37,11 @@ def grid_axes(bbox, n: int) -> tuple[list[int], list[int], int]:
     common denominator d: column k is at x = xs[k]/d and row k at y = ys[k]/d."""
     if not 2 <= n <= MAX_GRID:
         raise ValueError(f"a grid needs at least 2 points per axis and at most {MAX_GRID}, got {n}")
-    x0, y0, x1, y1 = (rat(c) for c in bbox)
-    axes = [(x0, (x1 - x0) / (n - 1)), (y0, (y1 - y0) / (n - 1))]
-    d = lcm(*(int(v.denominator) for axis in axes for v in axis))
-
-    def scaled(v) -> int:
-        return int(v.numerator) * (d // int(v.denominator))
-
-    xs, ys = ([scaled(lo) + k * scaled(step) for k in range(n)] for lo, step in axes)
-    return xs, ys, d
+    x0, y0, x1, y1 = box = [rat(c) for c in bbox]
+    if x0 >= x1 or y0 >= y1:
+        raise ValueError(f"bbox {','.join(map(rat_str, box))} must have x0 < x1 and y0 < y1")
+    (sx, dx, sy, dy), d = as_integers([x0, (x1 - x0) / (n - 1), y0, (y1 - y0) / (n - 1)])
+    return [sx + k * dx for k in range(n)], [sy + k * dy for k in range(n)], d
 
 
 def _kappa_terms(kappa) -> tuple[int, int]:

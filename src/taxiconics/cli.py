@@ -16,7 +16,7 @@ from .atlas import DEFAULT_BBOX, MAX_GRID, atlas_sweep, ukappa_sweep
 from .cones import cone_from_json, normalize_plane
 from .errors import TaxiconicsError
 from .oracle import OracleConfig, verify_cone
-from .render import RenderSpec, render_raster, render_section
+from .render import RenderSpec, _check_width, render_raster, render_section
 from .sections import build_section, classify, section_from_json, section_to_json
 
 
@@ -32,38 +32,21 @@ def _write(text: str, out: str | None):
 
 
 def _load_cone(path: str):
-    data = json.loads(Path(path).read_text())
-    return cone_from_json(data)
+    return cone_from_json(json.loads(Path(path).read_text()))
 
 
-def _parse_triple(text: str):
+def _split(text: str, form: str) -> list[str]:
+    """The comma-separated fields of text, as many as form names."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated rationals, got {text!r}")
-    return [rat(p) for p in parts]
-
-
-def _parse_bbox(text: str | None):
-    if text is None:
-        return DEFAULT_BBOX
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"expected x0,y0,x1,y1, got {text!r}")
-    x0, y0, x1, y1 = (rat(p) for p in parts)
-    if x0 >= x1 or y0 >= y1:
-        raise ValueError(f"bbox {text!r} must have x0 < x1 and y0 < y1")
-    return tuple(parts)
+    if len(parts) != len(form.split(",")):
+        raise ValueError(f"expected {form}, got {text!r}")
+    return parts
 
 
 def _check_verify_grid(n: int) -> int:
     if n % 2 == 0 or not 3 <= n <= MAX_GRID:
         raise ValueError(f"verify --grid must be odd and between 3 and {MAX_GRID}, got {n}")
     return n
-
-
-def _check_width(width: int):
-    if width < 1:
-        raise ValueError(f"--width must be at least 1, got {width}")
 
 
 def _cmd_classify(args) -> int:
@@ -97,15 +80,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    plane = normalize_plane(_parse_triple(args.plane))
-    bbox = _parse_bbox(args.bbox)
+    plane = normalize_plane(_split(args.plane, "A1,A2,A3"))
+    bbox = _split(args.bbox, "x0,y0,x1,y1")
     kappa = rat(args.kappa)
     _check_width(args.width)
     rows = atlas_sweep(plane, kappa, args.grid, bbox)
     payload = {
         "plane": plane.to_json(),
         "kappa": rat_str(kappa),
-        "bbox": list(bbox),
+        "bbox": bbox,
         "rows": rows,
     }
     _write(_dump_json(payload), args.output)
@@ -115,13 +98,13 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_ukappa(args) -> int:
-    bbox = _parse_bbox(args.bbox)
+    bbox = _split(args.bbox, "x0,y0,x1,y1")
     kappa = rat(args.kappa)
     _check_width(args.width)
     rows, bad = ukappa_sweep(kappa, args.grid, bbox)
     payload = {
         "kappa": rat_str(kappa),
-        "bbox": list(bbox),
+        "bbox": bbox,
         "rows": rows,
         "inconsistencies": bad,
     }
@@ -140,9 +123,7 @@ def _cmd_render(args) -> int:
     section = section_from_json(data)
     viewport = None
     if args.viewport:
-        viewport = tuple(rat(p.strip()) for p in args.viewport.split(","))
-        if len(viewport) != 4:
-            raise ValueError("viewport must be x0,y0,x1,y1")
+        viewport = tuple(map(rat, _split(args.viewport, "x0,y0,x1,y1")))
     spec = RenderSpec(viewport=viewport, width=args.width)
     _write(render_section(section, spec), args.output)
     return 0
@@ -174,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plane", required=True, help='plane triple, e.g. "2/3,1/5,1"')
     p.add_argument("--kappa", required=True)
     p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--bbox", default=None, help="x0,y0,x1,y1 (default -2,-2,2,2)")
+    p.add_argument("--bbox", default=",".join(DEFAULT_BBOX), help="x0,y0,x1,y1 (default %(default)s)")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--svg", default=None, help="also write an SVG heat-map")
     p.add_argument("--width", type=int, default=480)
@@ -183,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ukappa", help="perpendicular-case classification map")
     p.add_argument("--kappa", required=True)
     p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--bbox", default=None)
+    p.add_argument("--bbox", default=",".join(DEFAULT_BBOX))
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--width", type=int, default=480)
@@ -204,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TaxiconicsError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (TaxiconicsError, ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,11 +8,10 @@ scale and sign, collapsing the double cover.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Rat, rat, rat_str
+from ._rat import Rat, rat, rat_str, rats
 from .errors import DegenerateCone, NonPositiveKappa, ZeroVector
 from .geometry import Line2, Point2, projective_direction
 from .metric import DominanceClass, dominance_class
@@ -204,14 +203,19 @@ def reference_directions(line: LineParams) -> dict:
     return refs
 
 
+def active_indices(line: LineParams) -> list[int]:
+    """Indices of the active reference lines: the active partial pair, all
+    three for an intermediate line, rho^3 alone for a horizontal one."""
+    if line.is_horizontal:
+        return [3]
+    pair = active_partial_pair(line)
+    return [1, 2, 3] if pair is None else list(pair)
+
+
 def reference_lines(line: LineParams) -> list[tuple[int, Line2, bool]]:
     """Defined reference lines as (index, line, active); see reference_directions."""
-    if line.is_horizontal:
-        b, active = (0, 0), {3}
-    else:
-        pair = active_partial_pair(line)
-        b = (line.a1, line.a2)
-        active = {1, 2, 3} if pair is None else set(pair)
+    b = (0, 0) if line.is_horizontal else (line.a1, line.a2)
+    active = active_indices(line)
     return [
         (i, Line2.of(r[1], -r[0], r[0] * b[1] - r[1] * b[0]), i in active)
         for i, r in reference_directions(line).items()
@@ -232,22 +236,13 @@ def strip_position(strip: CharStrip, p: Point2) -> str:
 
 
 def cone_to_json(cone: ConeSpec) -> dict:
-    return {
-        "A": [rat_str(cone.plane.A1), rat_str(cone.plane.A2), str(cone.plane.delta)],
-        "a": [rat_str(cone.line.a1), rat_str(cone.line.a2), str(cone.line.a3)],
-        "kappa": rat_str(cone.kappa),
-    }
+    return {"A": cone.plane.to_json(), "a": cone.line.to_json(), "kappa": rat_str(cone.kappa)}
 
 
 def cone_from_json(data) -> ConeSpec:
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
-        A = [rat(s) for s in data["A"]]
-        a = [rat(s) for s in data["a"]]
+        A, a = rats(data["A"], 3), rats(data["a"], 3)
         kappa = rat(data["kappa"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed cone spec: {exc}") from exc
-    if len(A) != 3 or len(a) != 3:
-        raise ValueError("cone spec requires 3-component 'A' and 'a'")
     return cone_from_raw(A, a, kappa)

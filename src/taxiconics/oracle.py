@@ -3,7 +3,8 @@
 The oracles deliberately avoid the closed-form machinery: line distance is
 minimized by a dense scan plus ternary refinement of the convex map
 t -> sum |x_i - a_i t|; vertices are re-found by bisection of
-d(x, ell) - kappa d(x, P) along reference lines; the section pieces are
+d(x, ell) - kappa d(x, P) along the reference lines q + t r_i, with r_i from
+cones.reference_directions and q on rho^i; the section pieces are
 checked against an exact-residual scan on a rational grid, against a
 sector-by-sector rebuild, and their topology against the class.  The float
 scans use plain Python floats; _linspace reproduces numpy.linspace bit for
@@ -12,13 +13,13 @@ bit, so the package needs no numeric library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import lcm
 from typing import Callable, Optional
 
-from ._rat import Rat, rat, rat_str, sign
+from ._rat import Rat, as_integers, rat, rat_str, sign
 from .atlas import MAX_GRID, grid_axes
-from .cones import ConeSpec, LineParams, cone_to_json
+from .cones import ConeSpec, LineParams, cone_to_json, reference_directions, reference_lines
 from .errors import NoSignChange
 from .geometry import (
     Piece,
@@ -120,33 +121,28 @@ def numeric_dist_to_plane(x, a_triple) -> float:
     return best
 
 
-def _g_along_ref(cone: ConeSpec, ref_index: int) -> Callable[[float], float]:
-    """g(t) = d(x(t), ell) - kappa d(x(t), P) along reference line ref_index.
+def _ref_param(line: LineParams, ref_index: int) -> tuple[Point2, tuple]:
+    """Origin q and direction r_i of the parametrization q + t r_i of rho^i.
 
-    rho^1 is parametrized by x1, rho^2 by x2, rho^3 by the multiplier r in
-    (r a1, r a2).
+    r_i comes from reference_directions; q is point_on_line of rho^i, so t
+    is x1 on rho^1, x2 on rho^2 and the multiplier of (a1, a2) on rho^3.
     """
-    line = cone.line
+    g = {i: g for i, g, _ in reference_lines(line)}[ref_index]
+    return point_on_line(g.c1, g.c2, g.c0), reference_directions(line)[ref_index]
 
-    def point_at(t: Rat) -> Point3:
-        if line.is_horizontal or ref_index == 3:
-            return Point3(line.a1 * t, line.a2 * t, rat(1))
-        if ref_index == 1:
-            return Point3(t, line.a2, rat(1))
-        return Point3(line.a1, t, rat(1))
+
+def _g_along_ref(cone: ConeSpec, ref_index: int) -> Callable[[float], float]:
+    """g(t) = d(x(t), ell) - kappa d(x(t), P) at x(t) = q + t r_i on rho^i."""
+    q, (r1, r2) = _ref_param(cone.line, ref_index)
 
     def g(t: float) -> float:
-        p = point_at(_rational_from_float(float(t)))
-        return float(dist_to_line(p, line)) - float(cone.kappa) * float(
+        t = Rat(float(t))
+        p = Point3(q.x1 + t * r1, q.x2 + t * r2, rat(1))
+        return float(dist_to_line(p, cone.line)) - float(cone.kappa) * float(
             dist_to_plane(p, cone.plane)
         )
 
     return g
-
-
-def _rational_from_float(t: float) -> Rat:
-    num, den = t.as_integer_ratio()
-    return rat(num, den)
 
 
 def vertex_bisection(
@@ -154,7 +150,7 @@ def vertex_bisection(
     ref_index: int,
     interval: tuple[float, float],
 ) -> float:
-    """Root of d(x, ell) - kappa d(x, P) on a reference line by bisection."""
+    """Root t in interval of d(x, ell) - kappa d(x, P) at x = q + t r_i, by bisection."""
     g = _g_along_ref(cone, ref_index)
     lo, hi = float(interval[0]), float(interval[1])
     glo, ghi = g(lo), g(hi)
@@ -184,7 +180,7 @@ def scan_reference_roots(
     window: tuple[float, float] = (-50.0, 50.0),
     steps: int = 4001,
 ) -> list[float]:
-    """All bracketed roots of g along a reference line inside a window."""
+    """All bracketed roots t of g along rho^i with t inside a window."""
     g = _g_along_ref(cone, ref_index)
     ts = _linspace(window[0], window[1], steps)
     values = [g(t) for t in ts]
@@ -211,12 +207,12 @@ def exact_residual(cone: ConeSpec, p: Point2) -> Rat:
     return dist_to_line(x, cone.line) - cone.kappa * dist_to_plane(x, cone.plane)
 
 
-def section_bbox(section: ConicSection, pad=1) -> tuple[Rat, Rat, Rat, Rat]:
-    """Bounding box of the finite features of a section, padded."""
+def section_bbox(section: ConicSection) -> tuple[Rat, Rat, Rat, Rat]:
+    """Bounding box of the finite features of a section, padded by 1."""
     points = list(finite_points(section))
     if not points:
         raise ValueError("the section has no finite pieces or vertices to bound")
-    return padded_box(points, pad)
+    return padded_box(points, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +317,7 @@ class ScanReport:
     violations: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "points_checked": self.points_checked,
-            "zero_residual_points": self.zero_residual_points,
-            "max_residual_off_section": self.max_residual_off_section,
-            "violations": list(self.violations),
-        }
+        return asdict(self)
 
 
 def grid_residual_scan(
@@ -363,8 +354,8 @@ def grid_residual_scan(
         cx, cy, cd = (scale * c for c in coefs)
         return [cx * x for x in xs], cy, cd * big_d
 
-    line = _int_triple(cone.line.triple())
-    plane = _int_triple(cone.plane.triple())
+    line, _ = as_integers(cone.line.triple())
+    plane, _ = as_integers(cone.plane.triple())
     kp, kq = int(cone.kappa.numerator), int(cone.kappa.denominator)
     pm = max(map(abs, plane))
     dom = cone.line.dominance.index
@@ -409,12 +400,6 @@ def grid_residual_scan(
     return ScanReport(n * n, zeros, float(max_off), violations)
 
 
-def _int_triple(values) -> list[int]:
-    """A rational triple times its common denominator, as integers."""
-    den = lcm(*(int(v.denominator) for v in values))
-    return [int(v.numerator) * (den // int(v.denominator)) for v in values]
-
-
 def sample_piece_points(piece, count: int, rng) -> list[Point2]:
     """Random rational points on a piece (interior parameters)."""
     out = []
@@ -428,7 +413,7 @@ def sample_piece_points(piece, count: int, rng) -> list[Point2]:
     return out
 
 
-def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG, rng=None) -> dict:
+def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     """Full verification report for one cone.
 
     Checks vertex exactness, residuals of sampled piece points, vertex
@@ -439,8 +424,7 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG, rng=None) ->
     """
     import random
 
-    if rng is None:
-        rng = random.Random(0)
+    rng = random.Random(0)
     section = build_section(cone)
     violations: list[str] = []
 
@@ -502,13 +486,7 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG, rng=None) ->
 
 
 def _vertex_parameter(cone: ConeSpec, v) -> Rat:
-    """Parameter of a finite vertex along its reference line."""
+    """Parameter t of a finite vertex at q + t r_i on its reference line."""
+    q, r = _ref_param(cone.line, v.ref_index)
     p = v.location.point
-    line = cone.line
-    if line.is_horizontal or v.ref_index == 3:
-        if line.a1 != 0:
-            return p.x1 / line.a1
-        return p.x2 / line.a2
-    if v.ref_index == 1:
-        return p.x1
-    return p.x2
+    return ((p.x1 - q.x1) * r[0] + (p.x2 - q.x2) * r[1]) / (r[0] * r[0] + r[1] * r[1])

@@ -35,7 +35,6 @@ _DEFAULT_STYLES = {
     "ref_line": 'stroke="#c8c8c8" stroke-width="0.8" fill="none"',
     "vertex": 'fill="#c0392b" stroke="none"',
     "aux": 'fill="none" stroke="#2e8b57" stroke-width="1.2"',
-    "strip": 'stroke="#e4b64c" stroke-width="1" stroke-dasharray="3 3" fill="none"',
     "ukappa_boundary": 'stroke="#888888" stroke-width="1" fill="none"',
 }
 
@@ -102,10 +101,11 @@ def _svg_document(canvas: _Canvas, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def default_viewport(section: ConicSection, pad=1):
+def default_viewport(section: ConicSection):
+    """Bounding box of the finite features and active auxiliary points, padded by 1."""
     points = list(finite_points(section))
     points += [a.location.point for a in section.aux_points if a.active and a.location.is_finite]
-    return padded_box(points or [Point2(rat(0), rat(0))], pad)
+    return padded_box(points or [Point2(rat(0), rat(0))], 1)
 
 
 def render_section(section: ConicSection, spec: Optional[RenderSpec] = None) -> str:

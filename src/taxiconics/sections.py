@@ -24,17 +24,17 @@ check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ._rat import rat
+from ._rat import rat, rats
 from .cones import (
     INSIDE,
     OUTSIDE,
     ConeSpec,
     LineParams,
     PlaneParams,
+    active_indices,
     active_partial_pair,
     characterizing_strip,
     reference_directions,
@@ -64,6 +64,7 @@ ANTI_ADJACENT = "anti_adjacent"
 
 _SIGNS = (1, -1)
 _SIGN_CHAR = {1: "+", -1: "-"}
+_SIGN_OF = {"+": 1, "-": -1}
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,6 @@ def finite_points(section: ConicSection) -> Iterator[Point2]:
 
 # ---------------------------------------------------------------------------
 # vertices
-
-
-def active_indices(line: LineParams) -> list[int]:
-    if line.is_horizontal:
-        return [3]
-    pair = active_partial_pair(line)
-    return [1, 2, 3] if pair is None else list(pair)
 
 
 def vertex_slot(cone: ConeSpec, index: int, sgn: int) -> ExtendedPoint:
@@ -480,49 +474,56 @@ def section_to_json(section: ConicSection) -> dict:
     }
 
 
+def _field(data: dict, key: str, kind: type, default=None):
+    """data[key] of type kind; default (when given) stands for a missing key."""
+    value = data[key] if default is None else data.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _point_from_json(xy) -> Point2:
-    return Point2(rat(xy[0]), rat(xy[1]))
+    return Point2(*rats(xy, 2))
 
 
-def _extended_from_json(data) -> ExtendedPoint:
+def _extended_from_json(data: dict) -> ExtendedPoint:
     if data.get("at_infinity"):
         d = _point_from_json(data["dir"])
         return ExtendedPoint.at_infinity(d.x1, d.x2)
     return ExtendedPoint.finite(_point_from_json(data["xy"]))
 
 
+def _piece_from_json(p: dict) -> Piece:
+    kind = _field(p, "kind", str)
+    if kind == "segment":
+        return Segment.of(_point_from_json(p["a"]), _point_from_json(p["b"]))
+    if kind == "ray":
+        d = _point_from_json(p["dir"])
+        return Ray.of(_point_from_json(p["base"]), d.x1, d.x2)
+    raise ValueError(f"unknown piece kind {kind!r}")
+
+
 def section_from_json(data) -> ConicSection:
-    if isinstance(data, str):
-        data = json.loads(data)
-    pieces: list[Piece] = []
-    for p in data["pieces"]:
-        if p["kind"] == "segment":
-            pieces.append(Segment.of(_point_from_json(p["a"]), _point_from_json(p["b"])))
-        else:
-            d = _point_from_json(p["dir"])
-            pieces.append(Ray.of(_point_from_json(p["base"]), d.x1, d.x2))
-    verts = [
-        Vertex(v["ref"], 1 if v["sign"] == "+" else -1, _extended_from_json(v))
-        for v in data.get("vertices", [])
-    ]
-    aux = [
-        AuxPoint(a["pair"], _extended_from_json(a), a["active"])
-        for a in data.get("aux", [])
-    ]
-    trace = None
-    if data.get("trace") is not None:
-        c = data["trace"]
-        trace = Line2.of(rat(c[0]), rat(c[1]), rat(c[2]))
-    ref_lines = [
-        (r["index"], Line2.of(*(rat(c) for c in r["line"])), r["active"])
-        for r in data.get("ref_lines", [])
-    ]
-    return ConicSection(
-        klass=data["class"],
-        pieces=pieces,
-        vertices=verts,
-        aux_points=aux,
-        trace=trace,
-        ref_lines=ref_lines,
-        warnings=list(data.get("warnings", [])),
-    )
+    """Decode section_to_json output; any malformed input raises ValueError."""
+    try:
+        trace = data.get("trace")
+        return ConicSection(
+            klass=_field(data, "class", str),
+            pieces=[_piece_from_json(p) for p in _field(data, "pieces", list)],
+            vertices=[
+                Vertex(_field(v, "ref", int), _SIGN_OF[v["sign"]], _extended_from_json(v))
+                for v in _field(data, "vertices", list, [])
+            ],
+            aux_points=[
+                AuxPoint(_field(a, "pair", str), _extended_from_json(a), _field(a, "active", bool))
+                for a in _field(data, "aux", list, [])
+            ],
+            trace=None if trace is None else Line2.of(*rats(trace, 3)),
+            ref_lines=[
+                (_field(r, "index", int), Line2.of(*rats(r["line"], 3)), _field(r, "active", bool))
+                for r in _field(data, "ref_lines", list, [])
+            ],
+            warnings=_field(data, "warnings", list, []),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed section: {exc}") from exc

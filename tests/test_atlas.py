@@ -189,3 +189,11 @@ def test_sweeps_reject_grids_above_max_grid():
         atlas_sweep(plane, 1, MAX_GRID + 1)
     with pytest.raises(ValueError, match=f"at most {MAX_GRID}"):
         ukappa_sweep(1, MAX_GRID + 1)
+
+
+@pytest.mark.parametrize("bbox", [("1", "1", "0", "0"), ("1", "1", "1", "1"), (0, 0, 1, 0)])
+def test_sweeps_reject_empty_or_mirrored_bbox(bbox):
+    with pytest.raises(ValueError, match="x0 < x1 and y0 < y1"):
+        atlas_sweep(normalize_plane((1, 1, 0)), 1, 3, bbox)
+    with pytest.raises(ValueError, match="x0 < x1 and y0 < y1"):
+        ukappa_sweep(1, 3, bbox)

@@ -247,3 +247,74 @@ def test_sweeps_echo_normalized_kappa(tmp_path):
     assert json.loads(out.read_text())["kappa"] == "1/2"
     assert main(["ukappa", "--kappa", "6/3", "--grid", "3", "-o", str(out)]) == 0
     assert json.loads(out.read_text())["kappa"] == "2"
+
+
+def _section_json(tmp_path):
+    spec = write_spec(tmp_path, "fig8.json", FIG8)
+    section = tmp_path / "section.json"
+    assert main(["section", spec, "-o", str(section)]) == 0
+    return json.loads(section.read_text())
+
+
+def _finite_vertex(data):
+    return next(v for v in data["vertices"] if "xy" in v)
+
+
+def _point_as_five(data):
+    _finite_vertex(data)["xy"] = 5
+    return data
+
+
+def _float_coordinate(data):
+    _finite_vertex(data)["xy"] = [1.5, 0]
+    return data
+
+
+def _empty_list(data):
+    return []
+
+
+@pytest.mark.parametrize("corrupt", [_point_as_five, _float_coordinate, _empty_list])
+def test_render_rejects_malformed_section(tmp_path, capsys, corrupt):
+    path, svg = tmp_path / "bad.json", tmp_path / "bad.svg"
+    path.write_text(json.dumps(corrupt(_section_json(tmp_path))))
+    capsys.readouterr()
+    assert main(["render", str(path), "-o", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed section") and err.count("\n") == 1
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    json.dumps(FIG8),
+    dict(FIG8, A="121"),
+    dict(FIG8, A=["1", "2"]),
+    dict(FIG8, a=[1.5, "1", "1"]),
+    dict(FIG8, kappa=None),
+    {"A": FIG8["A"], "a": FIG8["a"]},
+], ids=["list", "spec-as-string", "A-as-string", "A-too-short", "float", "null-kappa", "no-kappa"])
+def test_classify_rejects_malformed_spec(tmp_path, capsys, payload):
+    spec = write_spec(tmp_path, "bad.json", payload)
+    assert main(["classify", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_render_rejects_coordinate_too_large_for_a_float(tmp_path, capsys):
+    data = _section_json(tmp_path)
+    _finite_vertex(data)["xy"] = ["1" + "0" * 400, "0"]
+    path, svg = tmp_path / "huge.json", tmp_path / "huge.svg"
+    path.write_text(json.dumps(data))
+    assert main(["render", str(path), "-o", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not svg.exists()
+
+
+def test_verify_rejects_plane_too_large_for_a_float(tmp_path, capsys):
+    spec = write_spec(tmp_path, "huge.json", {"A": ["1" + "0" * 400, "1", "1"], "a": ["1", "1", "1"], "kappa": "1"})
+    assert main(["verify", spec, "--grid", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

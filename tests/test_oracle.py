@@ -373,3 +373,9 @@ def test_section_bbox_rejects_a_section_without_finite_features():
     empty = dataclasses.replace(section, pieces=[], vertices=[])
     with pytest.raises(ValueError, match="no finite pieces or vertices"):
         section_bbox(empty)
+
+
+@pytest.mark.parametrize("bbox", [(1, 1, 0, 0), (1, 1, 1, 1)])
+def test_grid_residual_scan_rejects_empty_or_mirrored_bbox(bbox):
+    with pytest.raises(ValueError, match="x0 < x1 and y0 < y1"):
+        grid_residual_scan(cone_from_raw(*FIG8), bbox=bbox, cfg=OracleConfig(grid_n=3))
