@@ -21,13 +21,13 @@ _RAT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
 def rat(value: RatLike, den: int | None = None) -> Rat:
-    """Coerce ints, strings and Fractions to Rat."""
+    """Coerce ints, strings and Fractions to Rat; floats and bools are refused."""
     if den is not None:
         return Rat(value, den)
     if isinstance(value, str):
         return parse_rat(value)
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; pass an int, string or rational")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{value!r} is not an exact rational; pass an int, string or rational")
     return Rat(value)
 
 

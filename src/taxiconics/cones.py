@@ -9,12 +9,13 @@ scale and sign, collapsing the double cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ._rat import Rat, rat, rat_str, rats
 from .errors import DegenerateCone, NonPositiveKappa, ZeroVector
 from .geometry import Line2, Point2, projective_direction
-from .metric import DominanceClass, dominance_class
+from .metric import DominanceClass, ResidualForm, build_residual_form, dominance_class
 
 # plane steepness
 SHALLOW = "shallow"
@@ -92,6 +93,12 @@ class ConeSpec:
         """A1*a1 + A2*a2 + delta*a3; zero exactly for degenerate cones."""
         p, l = self.plane, self.line
         return p.A1 * l.a1 + p.A2 * l.a2 + p.delta * l.a3
+
+    @cached_property
+    def residual_form(self) -> ResidualForm:
+        """The integer residual form, built once per cone; not a field, so
+        ==, hash and repr ignore it."""
+        return build_residual_form(self.plane, self.line, self.kappa)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ Distance to a plane is |A.x| / max_i |A_i|.  Distance to a line ell_a is the
 minimum of the convex map t -> sum_i |x_i - a_i t|, attained at t = x_i/a_i
 for an index i selected by dominance of the parameter components, or by
 wedge membership (middle value of the x_i/a_i) when no component dominates.
+Over one common denominator a cone's residual d(x, ell) - kappa d(x, P) is
+then a closed form in integers, its ResidualForm.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from ._rat import Rat, rat
+from ._rat import Rat, as_integers, rat
 from .errors import ZeroComponent, ZeroVector
 
 if TYPE_CHECKING:  # only for annotations; cones.py imports this module
@@ -140,6 +142,62 @@ def dist_to_line(x: Point3, line: "LineParams") -> Rat:
     # no dominance: all components nonzero, minimize at the middle value
     values = sorted(xs[i] / a[i] for i in range(3))
     return _line_f(x, a, values[1])
+
+
+@dataclass(frozen=True)
+class ResidualForm:
+    """d(x, ell) - kappa d(x, P) over one common denominator, in integers.
+
+    A point x = (X/D, Y/D, 1) of the slicing plane has the residual
+    num(X, Y, D) / (den D) with D > 0; see build_residual_form.
+    """
+
+    terms: tuple  # per breakpoint k, the two integer forms of Pm kq (L/|n_k|) S_k
+    plane: tuple  # the integer form kp L P
+    den: int  # L Pm kq
+
+    def num(self, x: int, y: int, d: int) -> int:
+        dist = min(
+            abs(c1 * x + c2 * y + c3 * d) + abs(e1 * x + e2 * y + e3 * d)
+            for (c1, c2, c3), (e1, e2, e3) in self.terms
+        )
+        g1, g2, g3 = self.plane
+        return dist - abs(g1 * x + g2 * y + g3 * d)
+
+
+def build_residual_form(plane: "PlaneParams", line: "LineParams", kappa: Rat) -> ResidualForm:
+    """The cone's residual d(x, ell) - kappa d(x, P) as a ResidualForm.
+
+    With the line a = n/q and the plane A = P/Q in integers, Pm = max |P_i|
+    and kappa = kp/kq, at x = (X/D, Y/D, 1):
+
+    * d(x, ell) is the least of S_k/(|n_k| D) over the breakpoints k of the
+      convex map t -> sum |x_j - a_j t|, S_k = sum_{j != k} |n_k X_j - n_j X_k|.
+      That is k = i alone when component i (transitionally) dominates.
+    * d(x, P) = |P . (X, Y, D)|/(Pm D).
+
+    Over L = lcm |n_k| the residual is num/(L D Pm kq) with
+    num = min_k Pm kq (L/|n_k|) S_k - kp L |P . (X, Y, D)|.
+    """
+    n, _ = as_integers(line.triple())
+    p, _ = as_integers(plane.triple())
+    kp, kq = kappa.numerator, kappa.denominator
+    pm = max(map(abs, p))
+    dom = line.dominance.index
+    breaks = [dom - 1] if dom else [0, 1, 2]
+    big_l = math.lcm(*(abs(n[k]) for k in breaks))
+    terms = []
+    for k in breaks:
+        # the two terms n_k X_j - n_j X_k of S_k, scaled by Pm kq L/|n_k|
+        scale = pm * kq * (big_l // abs(n[k]))
+        pair = []
+        for j in range(3):
+            if j != k:
+                coefs = [0, 0, 0]
+                coefs[j], coefs[k] = scale * n[k], -scale * n[j]
+                pair.append(tuple(coefs))
+        terms.append(tuple(pair))
+    return ResidualForm(tuple(terms), tuple(kp * big_l * c for c in p), big_l * pm * kq)
 
 
 def wedge_index(x: Point3, line: "LineParams") -> set[int]:

@@ -2,19 +2,22 @@
 
 The oracles deliberately avoid the closed-form machinery: line distance is
 minimized by a dense scan plus ternary refinement of the convex map
-t -> sum |x_i - a_i t|; vertices are re-found by bisection of
-d(x, ell) - kappa d(x, P) along the reference lines q + t r_i, with r_i from
-cones.reference_directions and q on rho^i; the section pieces are
-checked against an exact-residual scan on a rational grid, against a
-sector-by-sector rebuild, and their topology against the class.  The float
-scans use plain Python floats; _linspace reproduces numpy.linspace bit for
-bit, so the package needs no numeric library.
+t -> sum |x_i - a_i t|; the section pieces are checked against an exact
+residual scan on a rational grid, against a sector-by-sector rebuild, and
+their topology against the class.  Every residual d(x, ell) - kappa d(x, P)
+is read from the cone's one integer form, cone.residual_form (built from the
+distances, never from sections): exact_residual, the grid scan, and the
+bisection that re-finds each vertex along its reference line q + t r_i
+(r_i from cones.reference_directions, q on rho^i) by the exact sign of the
+residual at the float t.  The float scans use plain Python floats;
+_linspace reproduces numpy.linspace bit for bit, so the package needs no
+numeric library.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import asdict, dataclass, field
-from math import lcm
 from typing import Callable, Optional
 
 from ._rat import Rat, as_integers, rat, rat_str, sign
@@ -34,7 +37,6 @@ from .geometry import (
     piece_sort_key,
     point_on_line,
 )
-from .metric import Point3, dist_to_line, dist_to_plane
 from .sections import _SIGNS, ConicSection, _sorted_active_rays, build_section, finite_points, section_topology
 
 # the float oracles: dense scan of t over [-T_RANGE, T_RANGE], then at most
@@ -51,7 +53,9 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.grid_n % 2 == 0 or not 3 <= self.grid_n <= MAX_GRID:
-            raise ValueError(f"grid_n must be odd and between 3 and {MAX_GRID}")
+            raise ValueError(
+                f"verify --grid must be odd and between 3 and {MAX_GRID}, got {self.grid_n}"
+            )
 
 
 DEFAULT_CONFIG = OracleConfig()
@@ -131,16 +135,19 @@ def _ref_param(line: LineParams, ref_index: int) -> tuple[Point2, tuple]:
     return point_on_line(g.c1, g.c2, g.c0), reference_directions(line)[ref_index]
 
 
-def _g_along_ref(cone: ConeSpec, ref_index: int) -> Callable[[float], float]:
-    """g(t) = d(x(t), ell) - kappa d(x(t), P) at x(t) = q + t r_i on rho^i."""
-    q, (r1, r2) = _ref_param(cone.line, ref_index)
+def _g_along_ref(cone: ConeSpec, ref_index: int) -> Callable[[float], int]:
+    """g(t) = the exact sign of d(x, ell) - kappa d(x, P) at x = q + t r_i on rho^i.
 
-    def g(t: float) -> float:
-        t = Rat(float(t))
-        p = Point3(q.x1 + t * r1, q.x2 + t * r2, rat(1))
-        return float(dist_to_line(p, cone.line)) - float(cone.kappa) * float(
-            dist_to_plane(p, cone.plane)
-        )
+    The float t is the exact rational tn/td, so x = (Q + tn R)/(e td) over
+    integers Q, R and e, and the sign is that of the form's numerator there.
+    """
+    q, r = _ref_param(cone.line, ref_index)
+    (q1, q2, r1, r2), e = as_integers((q.x1, q.x2, *r))
+    num = cone.residual_form.num
+
+    def g(t: float) -> int:
+        tn, td = t.as_integer_ratio()
+        return sign(num(q1 * td + tn * r1, q2 * td + tn * r2, e * td))
 
     return g
 
@@ -150,25 +157,29 @@ def vertex_bisection(
     ref_index: int,
     interval: tuple[float, float],
 ) -> float:
-    """Root t in interval of d(x, ell) - kappa d(x, P) at x = q + t r_i, by bisection."""
+    """Root t in interval of d(x, ell) - kappa d(x, P) at x = q + t r_i, by bisection.
+
+    Each step reads the exact sign of the residual at the float t, so an
+    endpoint or midpoint that is an exact root is returned as it is.
+    """
     g = _g_along_ref(cone, ref_index)
     lo, hi = float(interval[0]), float(interval[1])
     glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
+    if glo == 0:
         return lo
-    if ghi == 0.0:
+    if ghi == 0:
         return hi
-    if (glo > 0) == (ghi > 0):
-        raise NoSignChange(f"g({lo}) = {glo} and g({hi}) = {ghi} have equal signs")
+    if glo == ghi:
+        raise NoSignChange(f"g({lo}) and g({hi}) have the same sign {glo:+d}")
     for _ in range(REFINE_ITERS):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
-        if gm == 0.0:
+        if gm == 0:
             return mid
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
+        if gm == glo:
+            lo = mid
         else:
-            hi, ghi = mid, gm
+            hi = mid
         if hi - lo < TOL / 16:
             break
     return 0.5 * (lo + hi)
@@ -183,15 +194,15 @@ def scan_reference_roots(
     """All bracketed roots t of g along rho^i with t inside a window."""
     g = _g_along_ref(cone, ref_index)
     ts = _linspace(window[0], window[1], steps)
-    values = [g(t) for t in ts]
+    signs = [g(t) for t in ts]
     roots = []
     for k in range(len(ts) - 1):
-        v0, v1 = values[k], values[k + 1]
-        if v0 == 0.0:
+        s0, s1 = signs[k], signs[k + 1]
+        if s0 == 0:
             roots.append(ts[k])
-        elif (v0 > 0) != (v1 > 0):
+        elif (s0 > 0) != (s1 > 0):
             roots.append(vertex_bisection(cone, ref_index, (ts[k], ts[k + 1])))
-    if values[-1] == 0.0:
+    if signs[-1] == 0:
         roots.append(ts[-1])
     # merge near-duplicates from exact hits adjacent to sign changes
     merged: list[float] = []
@@ -202,9 +213,15 @@ def scan_reference_roots(
 
 
 def exact_residual(cone: ConeSpec, p: Point2) -> Rat:
-    """d(x, ell) - kappa d(x, P) at the slicing-plane point p, exact."""
-    x = Point3(p.x1, p.x2, rat(1))
-    return dist_to_line(x, cone.line) - cone.kappa * dist_to_plane(x, cone.plane)
+    """d(x, ell) - kappa d(x, P) at the slicing-plane point p, exact.
+
+    p is written as (X/D, Y/D) in integers and read by cone.residual_form;
+    metric.dist_to_line and metric.dist_to_plane are the reference the tests
+    compare it with.
+    """
+    (x, y), d = as_integers((p.x1, p.x2))
+    form = cone.residual_form
+    return Rat(form.num(x, y, d), form.den * d)
 
 
 def section_bbox(section: ConicSection) -> tuple[Rat, Rat, Rat, Rat]:
@@ -328,19 +345,11 @@ def grid_residual_scan(
 ) -> ScanReport:
     """Exact residual on a rational grid; zero set must lie on the pieces.
 
-    An exact integer kernel; `exact_residual` at each grid point is the
-    reference the tests compare it with.  Grid point (X, Y) stands for
-    x = (X/D, Y/D, 1) over one denominator D.  With the line a = n/q and the
-    plane A = P/Q in integers, Pm = max |P_i| and kappa = kp/kq:
-
-    * d(x, ell) is the least of S_k/(|n_k| D) over the breakpoints k of the
-      convex map t -> sum |x_j - a_j t|, S_k = sum_{j != k} |n_k X_j - n_j X_k|.
-      That is k = i alone when component i (transitionally) dominates.
-    * d(x, P) = |P . (X, Y, D)|/(Pm D).
-
-    Over L = lcm |n_k| the residual is num/(L D Pm kq) with
-    num = min_k Pm kq (L/|n_k|) S_k - kp L |P . (X, Y, D)|, so a point is a
-    zero iff num == 0, and only zeros get a rational point.
+    Grid point (X, Y) stands for x = (X/D, Y/D, 1) over one denominator D,
+    and its residual is num(X, Y, D)/(den D) from cone.residual_form (see
+    metric.build_residual_form).  Each linear term of num is laid out as an
+    X column plus row terms, so a row costs integer adds and compares; a
+    point is a zero iff num == 0, and only zeros get a rational point.
     """
     if section is None:
         section = build_section(cone)
@@ -349,30 +358,14 @@ def grid_residual_scan(
     n = cfg.grid_n
     xs, ys, big_d = grid_axes(bbox, n)
 
-    def form(coefs, scale):
-        # scale * (cx X + cy Y + cd D) as an X column plus the row terms
-        cx, cy, cd = (scale * c for c in coefs)
+    def columns(coefs):
+        # cx X + cy Y + cd D as an X column plus the row terms
+        cx, cy, cd = coefs
         return [cx * x for x in xs], cy, cd * big_d
 
-    line, _ = as_integers(cone.line.triple())
-    plane, _ = as_integers(cone.plane.triple())
-    kp, kq = int(cone.kappa.numerator), int(cone.kappa.denominator)
-    pm = max(map(abs, plane))
-    dom = cone.line.dominance.index
-    breaks = [dom - 1] if dom else [0, 1, 2]
-    big_l = lcm(*(abs(line[k]) for k in breaks))
-    terms = []
-    for k in breaks:
-        # the two terms n_k X_j - n_j X_k of S_k, scaled by Pm kq L/|n_k|
-        scale = pm * kq * (big_l // abs(line[k]))
-        pair = []
-        for j in range(3):
-            if j != k:
-                coefs = [0, 0, 0]
-                coefs[j], coefs[k] = line[k], -line[j]
-                pair.append(form(coefs, scale))
-        terms.append(pair)
-    g_col, gy, gd = form(plane, kp * big_l)
+    residual = cone.residual_form
+    terms = [[columns(c) for c in pair] for pair in residual.terms]
+    g_col, gy, gd = columns(residual.plane)
 
     zeros = 0
     max_num = 0
@@ -396,7 +389,7 @@ def grid_residual_scan(
                     violations.append(
                         f"zero residual off pieces at ({rat_str(p.x1)}, {rat_str(p.x2)})"
                     )
-    max_off = rat(max_num, big_l * big_d * pm * kq)
+    max_off = rat(max_num, residual.den * big_d)
     return ScanReport(n * n, zeros, float(max_off), violations)
 
 
@@ -422,8 +415,6 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     the piece topology against the class.  The report's "violations" list
     must be empty for a pass.
     """
-    import random
-
     rng = random.Random(0)
     section = build_section(cone)
     violations: list[str] = []

@@ -487,7 +487,7 @@ def _point_from_json(xy) -> Point2:
 
 
 def _extended_from_json(data: dict) -> ExtendedPoint:
-    if data.get("at_infinity"):
+    if _field(data, "at_infinity", bool, False):
         d = _point_from_json(data["dir"])
         return ExtendedPoint.at_infinity(d.x1, d.x2)
     return ExtendedPoint.finite(_point_from_json(data["xy"]))

@@ -6,8 +6,16 @@ import random
 
 import pytest
 
-from taxiconics import cone_from_raw, make_cone, normalize_line, normalize_plane, rat, vertices
+from taxiconics import cone_from_raw, make_cone, normalize_line, normalize_plane, point3, rat, vertices
 from taxiconics.errors import DegenerateCone, ZeroVector
+from taxiconics.metric import dist_to_line, dist_to_plane
+
+
+def reference_residual(cone, p):
+    """d(x, ell) - kappa d(x, P) at the slicing-plane point p, from metric's
+    Fraction distances: the scalar reference for cone.residual_form."""
+    x = point3(p.x1, p.x2, 1)
+    return dist_to_line(x, cone.line) - cone.kappa * dist_to_plane(x, cone.plane)
 
 
 def rnd_rat(rng: random.Random, lo=-4, hi=4, den_max=8):

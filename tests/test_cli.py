@@ -302,6 +302,50 @@ def test_classify_rejects_malformed_spec(tmp_path, capsys, payload):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("payload", [
+    {"A": [True, "1/5", "1"], "a": ["3/2", False, "1"], "kappa": True},
+    dict(FIG8, kappa=True),
+    dict(FIG8, A=[True, "1/5", "1"]),
+    dict(FIG8, a=["3/2", False, "1"]),
+], ids=["all-bools", "kappa", "A", "a"])
+def test_classify_rejects_json_booleans(tmp_path, capsys, payload):
+    spec = write_spec(tmp_path, "bool.json", payload)
+    assert main(["classify", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed cone spec") and captured.err.count("\n") == 1
+
+
+def _vertex_at_infinity(data):
+    return next(v for v in data["vertices"] if "dir" in v)
+
+
+def _bool_coordinate(data):
+    _finite_vertex(data)["xy"] = [True, "0"]
+    return data
+
+
+def _at_infinity_as_one(data):
+    _vertex_at_infinity(data)["at_infinity"] = 1
+    return data
+
+
+def _at_infinity_as_string(data):
+    _vertex_at_infinity(data)["at_infinity"] = "false"
+    return data
+
+
+@pytest.mark.parametrize("corrupt", [_bool_coordinate, _at_infinity_as_one, _at_infinity_as_string])
+def test_render_rejects_non_boolean_json_types(tmp_path, capsys, corrupt):
+    path, svg = tmp_path / "bad.json", tmp_path / "bad.svg"
+    path.write_text(json.dumps(corrupt(_section_json(tmp_path))))
+    capsys.readouterr()
+    assert main(["render", str(path), "-o", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed section") and err.count("\n") == 1
+    assert not svg.exists()
+
+
 def test_render_rejects_coordinate_too_large_for_a_float(tmp_path, capsys):
     data = _section_json(tmp_path)
     _finite_vertex(data)["xy"] = ["1" + "0" * 400, "0"]

@@ -25,6 +25,8 @@ from taxiconics.oracle import (
     verify_cone,
 )
 
+from conftest import reference_residual
+
 FIG8 = ((rat(1, 2), rat(1, 5), 1), (rat(3, 2), 1, 1), 2)
 FIG11 = ((rat(1, 2), rat(1, 3), 1), (3, 1, 0), 1)
 
@@ -214,7 +216,7 @@ def test_verify_bisects_every_finite_vertex(cone_family):
 
 
 def reference_scan(cone, section, bbox=None, cfg=OracleConfig()):
-    """exact_residual and piece_contains at every grid point."""
+    """reference_residual and piece_contains at every grid point."""
     if bbox is None:
         bbox = section_bbox(section)
     x0, y0, x1, y1 = (rat(c) for c in bbox)
@@ -224,7 +226,7 @@ def reference_scan(cone, section, bbox=None, cfg=OracleConfig()):
     for iy in range(n):
         for ix in range(n):
             p = Point2(x0 + ix * dx, y0 + iy * dy)
-            r = exact_residual(cone, p)
+            r = reference_residual(cone, p)
             if r != 0:
                 max_off = max(max_off, abs(r))
                 continue
