@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: classify, section, verify, atlas, ukappa, render.  Exit codes:
-0 success, 1 invalid input, 2 verification failure.
+0 success, 1 invalid input (usage errors included), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -122,8 +122,15 @@ def _cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so main reports them as invalid input (exit 1)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taxiconics",
         description="Taxicab conic sections: classify, construct, verify, render.",
     )
@@ -174,9 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (TaxiconicsError, ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

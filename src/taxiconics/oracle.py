@@ -3,13 +3,13 @@
 The oracles deliberately avoid the closed-form machinery: line distance is
 minimized by a dense scan plus ternary refinement of the convex map
 t -> sum |x_i - a_i t|; the section pieces are checked against an exact
-residual scan on a rational grid, against a sector-by-sector rebuild, and
+residual scan on a rational grid, against a rebuild region by region, and
 their topology against the class.  Every residual d(x, ell) - kappa d(x, P)
 is read from the cone's one integer form, cone.residual_form (built from the
-distances, never from sections): exact_residual, the grid scan, and the
-bisection that re-finds each vertex along its reference line q + t r_i
-(r_i from cones.reference_directions, q on rho^i) by the exact sign of the
-residual at the float t.  The float scans use plain Python floats;
+distances, never from sections): exact_residual, the grid scan, the piece
+rebuild and the bisection that re-finds each vertex on its reference line
+q + t r_i (r_i from cones.reference_directions, q on rho^i) by the exact
+sign of the residual at the float t.  The float scans use plain Python floats;
 _linspace reproduces numpy.linspace bit for bit, so the package needs no
 numeric library.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from typing import Callable, Optional
 
 from ._rat import Rat, as_integers, rat, rat_str, sign
@@ -25,19 +26,18 @@ from .atlas import MAX_GRID, grid_axes
 from .cones import ConeSpec, LineParams, cone_to_json, reference_directions, reference_lines
 from .errors import NoSignChange
 from .geometry import (
+    Line2,
     Piece,
     Point2,
     Ray,
     Segment,
-    clip_interval,
-    cross,
     padded_box,
     piece_contains,
     piece_point_at,
     piece_sort_key,
     point_on_line,
 )
-from .sections import _SIGNS, ConicSection, _sorted_active_rays, build_section, finite_points, section_topology
+from .sections import ConicSection, build_section, finite_points, section_topology
 
 # the float oracles: dense scan of t over [-T_RANGE, T_RANGE], then at most
 # REFINE_ITERS ternary or bisection steps down to an interval of TOL / 16
@@ -233,96 +233,89 @@ def section_bbox(section: ConicSection) -> tuple[Rat, Rat, Rat, Rat]:
 
 
 # ---------------------------------------------------------------------------
-# independent rebuild: the section solved sector by sector
+# independent rebuild: the zero set of the residual form, region by region
 
 
-def _partial_forms(line: LineParams, pair: tuple[int, int]):
-    """Linear forms (c1, c2, c0) of the two terms of d_pair on x3 = 1.
+def _clip_line(line, constraints) -> Optional[Piece]:
+    """The part of {c1 x + c2 y + c0 = 0} where every form h has h >= 0.
 
-    The first form vanishes exactly on one bounding reference line of the
-    sector, the second on the other.
+    All forms are integer triples (c1, c2, c0) at (x, y, 1).  The line is
+    ((qx, qy) + s d)/q with d = (-c2, c1), q > 0, so each h gives the integer
+    sign condition v0 + s v1 >= 0, and the bounds on s are kept as integer
+    pairs (num, den > 0).  Returns a Segment, a Ray, or None when the part
+    is empty or a single point.
     """
-    a1, a2 = line.a1, line.a2
-    if pair == (1, 2):
-        return ((rat(1), rat(0), -a1), (rat(0), rat(1), -a2))
-    if pair == (1, 3):
-        return ((rat(1), -a1 / a2, rat(0)), (rat(0), -1 / a2, rat(1)))
-    if pair == (2, 3):
-        return ((-a2 / a1, rat(1), rat(0)), (-1 / a1, rat(0), rat(1)))
-    raise ValueError(f"bad partial pair {pair}")
+    c1, c2, c0 = line
+    qx, qy, q = (0, -c0, c2) if c2 else (-c0, 0, c1)
+    if q < 0:
+        qx, qy, q = -qx, -qy, -q
+    d1, d2 = -c2, c1
+    lo = hi = None
+    for h1, h2, h0 in constraints:
+        v0, v1 = h1 * qx + h2 * qy + h0 * q, h1 * d1 + h2 * d2
+        if v1 > 0:
+            if lo is None or -v0 * lo[1] > lo[0] * v1:
+                lo = (-v0, v1)
+        elif v1 < 0:
+            if hi is None or v0 * hi[1] < hi[0] * -v1:
+                hi = (v0, -v1)
+        elif v0 < 0:
+            return None
 
+    def at(bound) -> Point2:
+        n, m = bound
+        return Point2(Rat(qx * m + n * d1, q * m), Rat(qy * m + n * d2, q * m))
 
-def _form_at(form, p: Point2) -> Rat:
-    return form[0] * p.x1 + form[1] * p.x2 + form[2]
-
-
-def _clip_line_to_region(lform, constraints) -> Optional[Piece]:
-    """Clip the line {lform = 0} to an intersection of halfplanes {c >= 0}.
-
-    Returns a Segment, a Ray, or None when the intersection is empty or a
-    single point.
-    """
-    q = point_on_line(*lform)
-    d = Point2(-lform[1], lform[0])
-    t = clip_interval((_form_at(c, q), c[0] * d.x1 + c[1] * d.x2) for c in constraints)
-    if t is None:
-        return None
-    lo, hi = t
     if lo is not None and hi is not None:
-        return Segment.of(q + d.scaled(lo), q + d.scaled(hi))
+        return Segment.of(at(lo), at(hi)) if lo[0] * hi[1] < hi[0] * lo[1] else None
     if lo is not None:
-        return Ray.of(q + d.scaled(lo), d.x1, d.x2)
+        return Ray.of(at(lo), d1, d2)
     if hi is not None:
-        return Ray.of(q + d.scaled(hi), -d.x1, -d.x2)
-    raise AssertionError("section piece cannot be a full line inside a sector")
+        return Ray.of(at(hi), -d1, -d2)
+    raise AssertionError("section piece cannot be a full line inside a region")
 
 
-def _construct_nonhorizontal(cone: ConeSpec) -> list[Piece]:
-    """Pieces of the section, solved sector by sector.
+def _rebuild_pieces(cone: ConeSpec) -> list[Piece]:
+    """Pieces of the section, read off cone.residual_form region by region.
 
-    Between consecutive active reference rays both distances are linear, so
-    each side of P^S holds at most one line per sector, clipped exactly.
+    On x3 = 1 the residual is min_k S_k - |G| with S_k = |T_k1| + |T_k2|, all
+    T and G linear.  The distinct zero lines of the T (the active reference
+    lines through a; a horizontal line has one, plus a constant T) cut the
+    plane into sign regions, inside which each S_k is linear.  Where S_k is
+    least (S_j - S_k >= 0) the zero set is S_k = |G|: the lines
+    S_k - sigma G = 0 clipped to those half-planes, with no constraint for
+    the side sigma G >= 0 of P^S, as sigma G = S_k >= 0 on the line.
     """
-    plane, line = cone.plane, cone.line
-    a_pt = line.point
-    rays = _sorted_active_rays(line)
-    n = len(rays)
-    kM = cone.kappa / plane.M
-    pform = (plane.A1, plane.A2, rat(plane.delta))
-    pieces: set[Piece] = set()
+    residual = cone.residual_form
+    lines = list(dict.fromkeys(Line2.of(*t) for pair in residual.terms for t in pair if t[0] or t[1]))
+    # each T as (index of its zero line, sign of T against that line's
+    # form), or (None, sign of T) for a constant T
+    wheres = [
+        [(lines.index(Line2.of(*t)), sign(t[0] or t[1])) if t[0] or t[1] else (None, sign(t[2])) for t in pair]
+        for pair in residual.terms
+    ]
 
-    for idx in range(n):
-        i_ref, u_dir = rays[idx]
-        j_ref, v_dir = rays[(idx + 1) % n]
-        pair = (min(i_ref, j_ref), max(i_ref, j_ref))
-        form_u, form_w = _partial_forms(line, pair)
-        interior = Point2(a_pt.x1 + u_dir.x1 + v_dir.x1, a_pt.x2 + u_dir.x2 + v_dir.x2)
-        s_u = sign(_form_at(form_u, interior))
-        s_w = sign(_form_at(form_w, interior))
-        if s_u == 0 or s_w == 0:
-            raise AssertionError("partial-distance form vanishes inside a sector")
-        # closed sector {a + alpha u + beta v : alpha, beta >= 0} as halfplanes
-        su_v = sign(cross(u_dir, v_dir))
-        sector_constraints = []
-        for edge, other_sign in ((u_dir, su_v), (v_dir, -su_v)):
-            c1 = -edge.x2 * other_sign
-            c2 = edge.x1 * other_sign
-            sector_constraints.append((c1, c2, -(c1 * a_pt.x1 + c2 * a_pt.x2)))
-        for sigma in _SIGNS:
-            lform = tuple(
-                s_u * fu + s_w * fw - sigma * kM * fp
-                for fu, fw, fp in zip(form_u, form_w, pform)
-            )
-            if lform[0] == 0 and lform[1] == 0:
-                # no solution in this sector: an identically zero form would
-                # force A1 a1 + A2 a2 + delta = 0, which make_cone rejects
-                continue
-            constraints = list(sector_constraints)
-            side = (sigma * pform[0], sigma * pform[1], sigma * pform[2])
-            constraints.append(side)
-            piece = _clip_line_to_region(lform, constraints)
-            if piece is not None:
-                pieces.add(piece)
+    def combine(coefs, forms):
+        return tuple(sum(c * f[m] for c, f in zip(coefs, forms)) for m in range(3))
+
+    pieces: set[Piece] = set()
+    for signs in product((1, -1), repeat=len(lines)):
+        region = [(s * int(g.c1), s * int(g.c2), s * int(g.c0)) for s, g in zip(signs, lines)]
+        # |T| = eps T throughout the region, so each S_k is linear there
+        sums = [
+            combine([s if i is None else s * signs[i] for i, s in ws], pair)
+            for ws, pair in zip(wheres, residual.terms)
+        ]
+        for k, s_k in enumerate(sums):
+            least = [combine((1, -1), (s_j, s_k)) for j, s_j in enumerate(sums) if j != k]
+            for sigma in (1, -1):
+                zero = combine((1, -sigma), (s_k, residual.plane))
+                if zero[0] or zero[1]:
+                    # else no zero here: an identically zero form would
+                    # force A1 a1 + A2 a2 + delta = 0, which make_cone rejects
+                    piece = _clip_line(zero, region + least)
+                    if piece is not None:
+                        pieces.add(piece)
     return sorted(pieces, key=piece_sort_key)
 
 
@@ -411,9 +404,9 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
 
     Checks vertex exactness, residuals of sampled piece points, vertex
     reproduction by bisection, the exact-zero coverage of a padded grid
-    scan, the pieces against the sector solver (non-horizontal lines) and
-    the piece topology against the class.  The report's "violations" list
-    must be empty for a pass.
+    scan, the pieces against their rebuild from the residual form (every
+    cone) and the piece topology against the class.  The report's
+    "violations" list must be empty for a pass.
     """
     rng = random.Random(0)
     section = build_section(cone)
@@ -455,7 +448,7 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     scan = grid_residual_scan(cone, section, cfg=cfg)
     violations.extend(scan.violations)
 
-    if not cone.line.is_horizontal and _construct_nonhorizontal(cone) != section.pieces:
+    if _rebuild_pieces(cone) != section.pieces:
         violations.append("pieces differ from the sector-by-sector rebuild")
     try:
         topology = section_topology(section.pieces)

@@ -18,8 +18,8 @@ depend on kappa (see auxiliary_points).
 
 For a horizontal defining line only rho^3 exists, through the origin, and
 the section is four rays constructed from the auxiliary points on P^S.
-oracle.verify_cone rebuilds the pieces sector by sector as an independent
-check.
+oracle.verify_cone rebuilds the pieces from the cone's residual form alone
+as an independent check.
 """
 
 from __future__ import annotations

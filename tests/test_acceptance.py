@@ -39,7 +39,7 @@ from taxiconics.errors import DegenerateCone
 from taxiconics.geometry import Point2, Ray, intersect_lines, piece_contains
 from taxiconics.oracle import (
     OracleConfig,
-    _construct_nonhorizontal,
+    _rebuild_pieces,
     exact_residual,
     grid_residual_scan,
     sample_piece_points,
@@ -228,13 +228,12 @@ def test_acceptance_6_invariant_suites(cone_family):
             assert [
                 (a.pair, a.location) for a in auxiliary_points(rescaled)
             ] == [(a.pair, a.location) for a in aux]
-        # connect-the-dots pieces equal the sector-by-sector solution
-        if not cone.line.is_horizontal:
-            assert _construct_nonhorizontal(cone) == section.pieces
-            n_equiv += 1
+        # connect-the-dots pieces equal the region-by-region rebuild
+        assert _rebuild_pieces(cone) == section.pieces
+        n_equiv += 1
         # classification vs topology
         assert section_topology(section.pieces) == section.klass
-    assert n_equiv > 800  # every cone without a horizontal defining line
+    assert n_equiv == len(cone_family)  # horizontal defining lines included
     _report(6, f"invariant suites on {len(cone_family)} random cones")
 
 

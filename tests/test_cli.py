@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from taxiconics import atlas, rat, rat_str
+from taxiconics import atlas, normalize_plane, rat, rat_str
 from taxiconics.cli import MAX_GRID, main
 
 FIG10A = {"A": ["2/3", "1/5", "1"], "a": ["9/10", "9/10", "1"], "kappa": "1"}
@@ -222,6 +222,37 @@ def test_render_rejects_bad_width(tmp_path, capsys, width):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "SPEC", "--grid", "x"],
+    ["atlas", "--plane", "1,1,1", "--kappa", "1", "--grid", "abc"],
+    ["atlas", "--plane", "-2,3,1", "--kappa", "1"],
+    ["atlas", "--kappa", "1"],
+    ["frobnicate", "SPEC"],
+    ["classify", "SPEC", "--frobnicate"],
+    [],
+])
+def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "fig8.json", FIG8)
+    assert main([spec if a == "SPEC" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["atlas", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: taxiconics" in capsys.readouterr().out
+
+
+def test_negative_plane_written_with_equals_sign(tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["atlas", "--plane=-2,3,1", "--kappa", "1", "--grid", "3", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["plane"] == normalize_plane(("-2", "3", "1")).to_json()
 
 
 def test_verify_rejects_grid_above_cap(tmp_path, capsys):

@@ -162,12 +162,13 @@ def test_verify_cone_horizontal():
 def test_verify_cone_reports_a_sector_rebuild_mismatch(monkeypatch):
     import taxiconics.oracle as oracle
 
-    cone = cone_from_raw(*FIG8)
-    real = oracle._construct_nonhorizontal
-    monkeypatch.setattr(oracle, "_construct_nonhorizontal", lambda c: real(c)[1:])
-    report = verify_cone(cone, OracleConfig(grid_n=41))
-    assert report["violations"] == ["pieces differ from the sector-by-sector rebuild"]
-    assert not report["passed"]
+    real = oracle._rebuild_pieces
+    monkeypatch.setattr(oracle, "_rebuild_pieces", lambda c: real(c)[1:])
+    # FIG11 has a horizontal defining line, which the rebuild covers too
+    for raw in (FIG8, FIG11):
+        report = verify_cone(cone_from_raw(*raw), OracleConfig(grid_n=41))
+        assert report["violations"] == ["pieces differ from the sector-by-sector rebuild"]
+        assert not report["passed"]
 
 
 def test_verify_cone_reports_pieces_that_form_no_conic(monkeypatch):

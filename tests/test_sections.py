@@ -35,7 +35,7 @@ from taxiconics.geometry import (
     piece_point_at,
     projective_direction,
 )
-from taxiconics.oracle import _construct_nonhorizontal, exact_residual, sample_piece_points
+from taxiconics.oracle import _rebuild_pieces, exact_residual, sample_piece_points
 from taxiconics.sections import ADJACENT, ANTI_ADJACENT, _relations, _sorted_active_rays, vertex_slot
 
 from conftest import random_cone, random_cones, random_vertex_at_infinity_cones
@@ -375,14 +375,14 @@ def test_construction_agrees_with_aux_point_at_infinity():
     cone = cone_from_raw((1, 1, 1), (0, 0, 1), 1)
     aux = {a.pair: a for a in auxiliary_points(cone)}
     assert aux["1,2+"].active and not aux["1,2+"].location.is_finite
-    assert _construct_nonhorizontal(cone) == build_section(cone).pieces
+    assert _rebuild_pieces(cone) == build_section(cone).pieces
 
 
 def test_construction_methods_agree():
     rng = random.Random(24)
     for _ in range(150):
-        cone = random_cone(rng, allow_horizontal_line=False)
-        assert _construct_nonhorizontal(cone) == build_section(cone).pieces
+        cone = random_cone(rng)
+        assert _rebuild_pieces(cone) == build_section(cone).pieces
 
 
 def test_rays_toward_vertices_at_infinity_of_an_inactive_aux_family():
@@ -398,13 +398,13 @@ def test_rays_toward_vertices_at_infinity_of_an_inactive_aux_family():
     pieces = build_section(cone).pieces
     assert Ray.of(point2(rat(-13, 8), rat(-1, 2)), -1, 0) in pieces
     assert Ray.of(point2(rat(-1, 2), rat(-13, 8)), 0, -1) in pieces
-    assert pieces == _construct_nonhorizontal(cone)
+    assert pieces == _rebuild_pieces(cone)
 
 
 def test_construction_agrees_with_sector_solver_at_infinity():
     cones = random_vertex_at_infinity_cones(1000, seed=20240811)
     for cone in cones:
-        assert _construct_nonhorizontal(cone) == build_section(cone).pieces
+        assert _rebuild_pieces(cone) == build_section(cone).pieces
     # every reference line carries a vertex at infinity somewhere in the draw
     refs = {v.ref_index for c in cones for v in vertices(c) if not v.location.is_finite}
     assert refs == {1, 2, 3}
@@ -414,11 +414,11 @@ rationals = st.builds(rat, st.integers(-24, 24), st.integers(1, 8))
 
 
 @settings(deadline=None, max_examples=150)
-@given(rationals, rationals, st.sampled_from([0, 1]), rationals, rationals,
+@given(rationals, rationals, st.sampled_from([0, 1]), rationals, rationals, st.sampled_from([0, 1]),
        st.sampled_from([0, 1, 2, 3]), st.builds(rat, st.integers(1, 24), st.integers(1, 6)))
-def test_construction_agrees_with_sector_solver_hypothesis(A1, A2, delta, a1, a2, pick, kappa):
+def test_construction_agrees_with_sector_solver_hypothesis(A1, A2, delta, a1, a2, a3, pick, kappa):
     try:
-        plane, line = normalize_plane((A1, A2, delta)), normalize_line((a1, a2, 1))
+        plane, line = normalize_plane((A1, A2, delta)), normalize_line((a1, a2, a3))
     except ZeroVector:
         assume(False)
     # pick 1..3 puts the vertex on rho^pick at infinity when that is possible
@@ -429,7 +429,7 @@ def test_construction_agrees_with_sector_solver_hypothesis(A1, A2, delta, a1, a2
         cone = make_cone(plane, line, kappa)
     except DegenerateCone:
         assume(False)
-    assert _construct_nonhorizontal(cone) == build_section(cone).pieces
+    assert _rebuild_pieces(cone) == build_section(cone).pieces
 
 
 @settings(deadline=None, max_examples=150)
