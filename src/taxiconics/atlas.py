@@ -1,15 +1,23 @@
 """Parameter-space sweeps: classification rasters over line parameters and
 over the perpendicular-case parameters.
 
-Both sweeps are exact integer kernels.  Each grid axis is written once as
-integers over one common denominator.  After clearing denominators, the
-characterizing-strip tests of `sections.classify` (the four unit-diamond
-corners and a against |A1 x1 + A2 x2| < M/kappa) and the U_kappa tests of
+Both sweeps are exact integer kernels that build each raster row from its
+runs of equal letters.  Each grid axis is written once as integers over one
+common denominator.  After clearing denominators, the characterizing-strip
+tests of `sections.classify` (the four unit-diamond corners and a against
+|A1 x1 + A2 x2| < M/kappa) and the U_kappa tests of
 `special.u_kappa_position` are compares of Python ints, which cannot
-overflow.  Per-cell `classify` stays the reference the tests compare with.
+overflow.  Along one row a class changes only where the row crosses a line
+or circle bounding a region, so a row costs a handful of compares, not one
+per cell: `atlas_sweep` finds its few run ends by floor division and
+`ukappa_sweep` by bisection on half-rows, along which every compare is
+monotone.  The per-cell integer kernels and per-cell `classify` stay in the
+tests as the references the row kernels are compared with.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from ._rat import as_integers, rat, rat_str
 from .cones import PlaneParams
@@ -18,8 +26,9 @@ from .sections import ELLIPSE, HYPERBOLA, PARABOLA
 
 DEFAULT_BBOX = ("-2", "-2", "2", "2")
 # Upper bound on the grid size of atlas, ukappa and verify, enforced by
-# grid_axes: the cost grows with its square, and at 1001 one run already
-# evaluates a million grid points.
+# grid_axes.  The sweeps cost a few compares per row, but their JSON and SVG
+# still grow with the square of the grid, as does the verify scan: at 1001
+# one raster is a million cells and about 104 MB of SVG.
 MAX_GRID = 1001
 
 # Indexed by 1 + side, where side is -1, 0 or 1 for inside, on or outside.
@@ -52,11 +61,25 @@ def _kappa_terms(kappa) -> tuple[int, int]:
     return int(kappa.numerator), int(kappa.denominator)
 
 
+def _below(s0: int, step: int, n: int, t: int) -> int:
+    """How many of the n values s0 + k step (k = 0, 1, ..., step >= 0) lie
+    below t; they are the first ones."""
+    if step == 0:
+        return n if s0 < t else 0
+    return min(max(-((s0 - t) // step), 0), n)
+
+
 def atlas_sweep(plane: PlaneParams, kappa, n: int, bbox=DEFAULT_BBOX) -> list[str]:
     """n x n raster of section classes over line parameters (a1, a2, 1).
 
     Rows run bottom-up (row 0 at the smallest a2), cells left to right.
     A cell is "D" where the line lies in the plane.
+
+    Along a row the strip value s is linear in the column, so a row is five
+    runs, by where s lies against the strip edges (below -edge, at -edge,
+    inside, at edge, above edge), with "D" where s hits the degenerate
+    value: at most one column unless s is constant.  `_below` gives each run
+    end by one floor division.
     """
     kp, kq = _kappa_terms(kappa)
     xs, ys, d = grid_axes(bbox, n)
@@ -69,17 +92,21 @@ def atlas_sweep(plane: PlaneParams, kappa, n: int, bbox=DEFAULT_BBOX) -> list[st
     big_l = q1 * q2 * d
     # The corner probes do not depend on the cell.
     corners = max(_side(abs(p1) * hd, hn * q1), _side(abs(p2) * hd, hn * q2))
-    edge = hn * big_l
+    edge = hn * big_l  # at least 1, so the run ends below come in order
     degenerate = -plane.delta * hd * big_l
-    sxs = [p1 * q2 * hd * x for x in xs]
-    cy = p2 * q1 * hd
+    zones = [_LETTER[1 + max(corners, side)] for side in (1, 0, -1, 0, 1)]
+    cx, cy = p1 * q2 * hd, p2 * q1 * hd
+    step = cx * (xs[1] - xs[0])
     rows = []
     for y in ys:
-        sy = cy * y
-        rows.append("".join([
-            "D" if s == degenerate else _LETTER[1 + max(corners, _side(abs(s), edge))]
-            for s in [sx + sy for sx in sxs]
-        ]))
+        s0 = cx * xs[0] + cy * y
+        if step < 0:  # build the row in the order of growing s, then mirror it
+            s0 += (n - 1) * step
+        ends = [0, *(_below(s0, abs(step), n, t) for t in (-edge, 1 - edge, edge, 1 + edge)), n]
+        row = "".join([letter * (hi - lo) for letter, lo, hi in zip(zones, ends, ends[1:])])
+        lo, hi = _below(s0, abs(step), n, degenerate), _below(s0, abs(step), n, degenerate + 1)
+        row = row[:lo] + "D" * (hi - lo) + row[hi:]
+        rows.append(row[::-1] if step < 0 else row)
     return rows
 
 
@@ -98,34 +125,81 @@ def _u_kappa_side(r: int, m: int, d: int, kp: int, kq: int) -> int:
     return min(disk, _side(r * kp, m * kq * d))
 
 
+def _bisect_runs(cell, lo: int, v_lo, hi: int, v_hi, starts: list):
+    """Append (k, cell(k)) to starts for each column k in (lo, hi] where cell
+    changes, given v_lo = cell(lo) and v_hi = cell(hi).  Each component of
+    cell is monotone on [lo, hi], so equal values at the ends mean cell is
+    constant in between."""
+    if v_lo == v_hi:
+        return
+    if hi - lo == 1:
+        starts.append((hi, v_hi))
+        return
+    mid = (lo + hi) // 2
+    v_mid = cell(mid)
+    _bisect_runs(cell, lo, v_lo, mid, v_mid, starts)
+    _bisect_runs(cell, mid, v_mid, hi, v_hi, starts)
+
+
 def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
     """Raster of perpendicular-cone classes over A = a = (x, y, 1), plus any
     disagreements with the U_kappa membership prediction (must be none).
 
     With x = X/d and y = Y/d the plane is (X, Y, d)/d with M = max(m, d)/d,
     m = max(|X|, |Y|); the corners are at strip value m/d and a at r/d^2,
-    r = X^2 + Y^2.
+    r = X^2 + Y^2.  The cell's class is
+    actual = max(side(m kp, M kq), side(r kp, M kq d)).
+
+    A row is built from runs.  On each side of X = 0 the class and the
+    prediction `_u_kappa_side` are both nondecreasing in t = |X|, so a
+    stretch of a half-row whose two ends give the same pair is one run, and
+    `_bisect_runs` finds where the runs end.  With a = |Y| fixed, each
+    compare is the sign of a function continuous in t, and none falls:
+    - t <= a: m = a and M = max(a, d) are fixed, and r grows;
+    - a < t <= d: m = t and M = d, and every compare grows with t;
+    - t > max(a, d): m = M = t, so side(m kp, M kq) = side(kp, kq) is fixed,
+      and the r compare is the sign of q(t) = kp t^2 - kq d t + kp a^2.  If q
+      has real roots, the smaller is v - sqrt(v^2 - a^2) <= a, where
+      v = kq d / (2 kp), so for t > a the sign of q only rises.
+    The prediction is a max of such compares for kappa >= 1.  For kappa < 1
+    it is min(disk, petal): the disk grows with r, and the petal compare is
+    side(r kp, a kq d) for t <= a and the sign of q for t > a.  The petal
+    falls only after t = 0 on the row Y = 0, where at t = 0 the disk, and so
+    the min, is -1.
+    Every cell of a run where the two disagree is one inconsistency record,
+    in row-major order.
     """
     kp, kq = _kappa_terms(kappa)
     xs, ys, d = grid_axes(bbox, n)
-    cols = [(x, abs(x), x * x) for x in xs]
+    zero = bisect_left(xs, 0)
+    halves = [(lo, hi) for lo, hi in ((0, zero), (zero, n)) if lo < hi]
     rows = []
     inconsistencies = []
     for y in ys:
         ay, yy = abs(y), y * y
-        row = []
-        for x, ax, xx in cols:
+
+        def cell(k):
+            x = xs[k]
+            ax = abs(x)
             m = ax if ax > ay else ay
-            r = xx + yy
+            r = x * x + yy
             edge = (m if m > d else d) * kq
             actual = max(_side(m * kp, edge), _side(r * kp, edge * d))
-            row.append(_LETTER[1 + actual])
-            position = _u_kappa_side(r, m, d, kp, kq)
+            return actual, _u_kappa_side(r, m, d, kp, kq)
+
+        starts = []
+        for lo, hi in halves:
+            v_lo = cell(lo)
+            starts.append((lo, v_lo))
+            _bisect_runs(cell, lo, v_lo, hi - 1, cell(hi - 1), starts)
+        row = []
+        for (lo, (actual, position)), (hi, _) in zip(starts, starts[1:] + [(n, None)]):
+            row.append(_LETTER[1 + actual] * (hi - lo))
             if position != actual:
-                inconsistencies.append({
-                    "A": [rat_str(rat(x, d)), rat_str(rat(y, d))],
+                inconsistencies += [{
+                    "A": [rat_str(rat(xs[k], d)), rat_str(rat(y, d))],
                     "expected": _CLASS[1 + position],
                     "actual": _CLASS[1 + actual],
-                })
+                } for k in range(lo, hi)]
         rows.append("".join(row))
     return rows, inconsistencies

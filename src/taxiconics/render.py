@@ -8,6 +8,7 @@ so identical inputs produce byte-identical SVG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 from ._rat import rat
@@ -164,12 +165,24 @@ def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
     cell_w = float(xmax - xmin) * canvas.scale / n
     cell_h = float(ymax - ymin) * canvas.scale / n
     # Each column's x, each row's y and the cell size are formatted once.
+    # A row's text is its y and the size joined between cols[0] and then
+    # tails[letter][i] for each cell i: the end of cell i, a newline and the
+    # start of cell i + 1.  A run of equal letters is one list slice.
     cols = [f'<rect x="{_fmt(ix * cell_w)}" y="' for ix in range(max(map(len, rows), default=0))]
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
+    ends = {letter: f'{fill}"/>' for letter, fill in _CELL_FILL.items()}
+    tails = {letter: [f"{end}\n{col}" for col in cols[1:]] + [end] for letter, end in ends.items()}
     body = []
     for iy, row in enumerate(rows):
-        y_size = _fmt((n - 1 - iy) * cell_h) + size
-        body.extend([f'{col}{y_size}{_CELL_FILL[letter]}"/>' for col, letter in zip(cols, row)])
+        if not row:
+            continue
+        parts, start = [cols[0]], 0
+        for letter, run in groupby(row):
+            stop = start + len(list(run))
+            parts += tails[letter][start:stop]
+            start = stop
+        parts[-1] = ends[row[-1]]  # a row shorter than the widest ends here
+        body.append((_fmt((n - 1 - iy) * cell_h) + size).join(parts))
     if kappa is not None:
         k = float(rat(kappa))
         style = _DEFAULT_STYLES["ukappa_boundary"]

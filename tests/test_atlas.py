@@ -1,5 +1,7 @@
-"""The integer sweep kernels against the scalar rational reference: per-cell
-classify for atlas_sweep and special.u_kappa_check for ukappa_sweep."""
+"""The row-run sweep kernels against two references: the scalar rational
+one (per-cell classify for atlas_sweep, special.u_kappa_check for
+ukappa_sweep) and the per-cell integer kernels kept here, which decide every
+cell on its own with the same integer compares."""
 
 import random
 
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxiconics import classify, make_cone, normalize_line, normalize_plane, rat, rat_str
-from taxiconics.atlas import MAX_GRID, atlas_sweep, ukappa_sweep
+from taxiconics import atlas
+from taxiconics.atlas import DEFAULT_BBOX, MAX_GRID, atlas_sweep, ukappa_sweep
 from taxiconics.errors import DegenerateCone, NonPositiveKappa, ZeroVector
 from taxiconics.geometry import Point2
 from taxiconics.special import u_kappa_check
@@ -197,3 +200,156 @@ def test_sweeps_reject_empty_or_mirrored_bbox(bbox):
         atlas_sweep(normalize_plane((1, 1, 0)), 1, 3, bbox)
     with pytest.raises(ValueError, match="x0 < x1 and y0 < y1"):
         ukappa_sweep(1, 3, bbox)
+
+
+# ---------------------------------------------------------------------------
+# The per-cell integer kernels: every cell decided on its own.
+
+
+def per_cell_atlas(plane, kappa, n, bbox=DEFAULT_BBOX):
+    kp, kq = atlas._kappa_terms(kappa)
+    xs, ys, d = atlas.grid_axes(bbox, n)
+    p1, q1 = int(plane.A1.numerator), int(plane.A1.denominator)
+    p2, q2 = int(plane.A2.numerator), int(plane.A2.denominator)
+    hn, hd = int(plane.M.numerator) * kq, int(plane.M.denominator) * kp
+    big_l = q1 * q2 * d
+    corners = max(atlas._side(abs(p1) * hd, hn * q1), atlas._side(abs(p2) * hd, hn * q2))
+    edge = hn * big_l
+    degenerate = -plane.delta * hd * big_l
+    sxs = [p1 * q2 * hd * x for x in xs]
+    cy = p2 * q1 * hd
+    rows = []
+    for y in ys:
+        sy = cy * y
+        rows.append("".join([
+            "D" if s == degenerate else atlas._LETTER[1 + max(corners, atlas._side(abs(s), edge))]
+            for s in [sx + sy for sx in sxs]
+        ]))
+    return rows
+
+
+def ukappa_cell(x, y, d, kp, kq):
+    """(actual class side, U_kappa prediction) of the cell (x, y)/d."""
+    ax, ay = abs(x), abs(y)
+    m = ax if ax > ay else ay
+    r = x * x + y * y
+    edge = (m if m > d else d) * kq
+    actual = max(atlas._side(m * kp, edge), atlas._side(r * kp, edge * d))
+    return actual, atlas._u_kappa_side(r, m, d, kp, kq)
+
+
+def per_cell_ukappa(kappa, n, bbox=DEFAULT_BBOX):
+    kp, kq = atlas._kappa_terms(kappa)
+    xs, ys, d = atlas.grid_axes(bbox, n)
+    rows, inconsistencies = [], []
+    for y in ys:
+        row = []
+        for x in xs:
+            actual, position = ukappa_cell(x, y, d, kp, kq)
+            row.append(atlas._LETTER[1 + actual])
+            if position != actual:
+                inconsistencies.append({
+                    "A": [rat_str(rat(x, d)), rat_str(rat(y, d))],
+                    "expected": atlas._CLASS[1 + position],
+                    "actual": atlas._CLASS[1 + actual],
+                })
+        rows.append("".join(row))
+    return rows, inconsistencies
+
+
+def random_sweep_cases(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        try:
+            plane = normalize_plane(random_plane_triple(rng))
+        except ZeroVector:
+            continue
+        bbox = random_bbox(rng) if rng.random() < 0.7 else DEFAULT_BBOX
+        cases.append((plane, random_kappa(rng), bbox))
+    return cases
+
+
+@pytest.mark.parametrize("n, count", [(101, 12), (201, 4)])
+def test_row_runs_match_per_cell_kernels_fixed_seeds(n, count):
+    for plane, kappa, bbox in random_sweep_cases(20240814 + n, count):
+        assert atlas_sweep(plane, kappa, n, bbox) == per_cell_atlas(plane, kappa, n, bbox)
+        assert ukappa_sweep(kappa, n, bbox) == per_cell_ukappa(kappa, n, bbox)
+
+
+def test_row_runs_match_per_cell_kernels_at_max_grid():
+    plane = normalize_plane((1, -3, 1))
+    assert atlas_sweep(plane, 1, MAX_GRID) == per_cell_atlas(plane, 1, MAX_GRID)
+    assert ukappa_sweep("1/2", MAX_GRID) == per_cell_ukappa("1/2", MAX_GRID)
+
+
+@settings(deadline=None, max_examples=80)
+@given(rationals, rationals, st.sampled_from([0, 1]), kappas, bboxes(), st.integers(2, 80))
+def test_row_runs_match_per_cell_kernels_hypothesis(A1, A2, delta, kappa, bbox, n):
+    assert ukappa_sweep(kappa, n, bbox) == per_cell_ukappa(kappa, n, bbox)
+    if A1 == 0 and A2 == 0 and delta == 0:
+        return
+    plane = normalize_plane((A1, A2, delta))
+    assert atlas_sweep(plane, kappa, n, bbox) == per_cell_atlas(plane, kappa, n, bbox)
+
+
+def grid_points(bbox, n):
+    xs, ys, d = atlas.grid_axes(bbox, n)
+    return {rat(x, d) for x in xs}, {rat(y, d) for y in ys}
+
+
+# (kappa, n, bbox, grid columns X and rows Y the case must contain): rows
+# through Y = 0, |Y| = d (y = +-1) and |Y| = 1/kappa; petal vertices
+# 1/(2 kappa) on a column; bboxes left or right of X = 0.
+BREAKPOINT_CASES = [
+    ("1/2", 9, DEFAULT_BBOX, {1, -1}, {0, 1, -1, 2}),  # petal vertex x = 1
+    ("1/2", 101, DEFAULT_BBOX, {1, -1}, {0, 1, -1, 2}),
+    ("1/5", 101, DEFAULT_BBOX, set(), {0, 1, -1}),  # petal vertex 5/2 is outside
+    ("1/5", 13, ("-3", "-3", "3", "3"), {rat(5, 2), rat(-5, 2)}, {0, 1, -1}),
+    ("2", 17, DEFAULT_BBOX, {rat(1, 4)}, {0, 1, rat(1, 2), rat(-1, 2)}),
+    ("4/5", 33, DEFAULT_BBOX, {rat(5, 8)}, {0, 1, rat(5, 4), rat(-5, 4)}),
+    ("1", 41, DEFAULT_BBOX, {rat(1, 2)}, {0, 1, -1}),
+    ("2/5", 52, ("1/3", "-5/4", "9/2", "1/6"), set(), {0, -1}),  # X > 0 only
+    ("1/2", 45, ("-3", "-11/4", "-1/4", "11/4"), {-1}, {0, 1, -1, 2, -2}),  # X < 0 only
+    ("5/2", 71, ("-3/5", "-1", "1", "2/5"), {rat(1, 5)}, {0, -1, rat(-2, 5), rat(2, 5)}),
+]
+
+
+@pytest.mark.parametrize("kappa, n, bbox, columns, rows", BREAKPOINT_CASES)
+def test_row_runs_match_per_cell_kernels_on_breakpoints(kappa, n, bbox, columns, rows):
+    xs, ys = grid_points(bbox, n)
+    assert columns <= xs and rows <= ys
+    assert ukappa_sweep(kappa, n, bbox) == per_cell_ukappa(kappa, n, bbox)
+    for triple in [(2, -3, 1), (1, 1, 1), (0, 1, 1), (1, -2, 0), (0, 0, 1)]:
+        plane = normalize_plane(triple)
+        assert atlas_sweep(plane, kappa, n, bbox) == per_cell_atlas(plane, kappa, n, bbox)
+
+
+def test_ukappa_predicates_never_fall_along_a_half_row():
+    # The lemma ukappa_sweep's bisection rests on: on each side of X = 0 the
+    # class and the prediction are nondecreasing in |X|.
+    rng = random.Random(20240815)
+    rows = 0
+    for case in range(80):
+        kappa = random_kappa(rng) if case % 3 else rat(rng.randrange(1, 10), 10)
+        bbox = random_bbox(rng) if case % 2 else DEFAULT_BBOX
+        kp, kq = atlas._kappa_terms(kappa)
+        xs, ys, d = atlas.grid_axes(bbox, rng.randrange(2, 120))
+        for y in [0, d, -d, *rng.sample(ys, min(len(ys), 8))]:
+            for half in ([x for x in xs if x < 0], [x for x in xs if x >= 0]):
+                cells = [ukappa_cell(x, y, d, kp, kq) for x in sorted(half, key=abs)]
+                assert [actual for actual, _ in cells] == sorted(actual for actual, _ in cells)
+                assert [position for _, position in cells] == sorted(position for _, position in cells)
+            rows += 1
+    assert rows > 800
+
+
+@pytest.mark.parametrize("kappa, bbox", [("1", DEFAULT_BBOX), ("1/2", DEFAULT_BBOX),
+                                         ("3", ("-3/2", "-7/5", "5/3", "2/7"))])
+def test_ukappa_reports_a_run_splitting_prediction_cell_by_cell(monkeypatch, kappa, bbox):
+    # side(2m, d) is monotone in |X| but changes where no cut is made.
+    monkeypatch.setattr(atlas, "_u_kappa_side", lambda r, m, d, kp, kq: atlas._side(2 * m, d))
+    for n in (9, 40, 101):
+        rows, bad = ukappa_sweep(kappa, n, bbox)
+        assert bad
+        assert (rows, bad) == per_cell_ukappa(kappa, n, bbox)

@@ -1,21 +1,32 @@
 """Golden output: one SHA-256 over the section JSON, SVG and adjacency of a
-fixed cone set, and the verify reports of the acceptance cones.
+fixed cone set, and the verify reports of the acceptance cones; a second one
+over the atlas and U_kappa rasters, their inconsistency lists and raster SVGs.
 
-The digest pins byte-identical output across refactors.  A change that
-alters output on purpose updates GOLDEN_SHA256 and says why.
+The digests pin byte-identical output across refactors.  A change that
+alters output on purpose updates GOLDEN_SHA256 or RASTER_SHA256 and says why.
 """
 
 import hashlib
 import json
 
-from taxiconics import adjacency, build_section, cone_from_raw, section_to_json
+from taxiconics import adjacency, build_section, cone_from_raw, normalize_plane, section_to_json
+from taxiconics.atlas import DEFAULT_BBOX, atlas_sweep, ukappa_sweep
 from taxiconics.oracle import OracleConfig, verify_cone
-from taxiconics.render import render_section
+from taxiconics.render import render_raster, render_section
 
 from conftest import random_cones, random_vertex_at_infinity_cones
 from test_oracle import ACCEPTANCE_CONES
 
 GOLDEN_SHA256 = "429e566eff3ae6017d52c79ee6c404345392277d3b4da47b40b783b969496eed"
+RASTER_SHA256 = "19a6d017e8f2c370ce2df7394b63f317c5fc3cb6b5b8d8e042f05bb376612f38"
+
+RASTER_KAPPAS = ["1/5", "2/5", "1/2", "4/5", "1", "5/4", "3"]
+RASTER_BBOXES = [DEFAULT_BBOX, ("-3/2", "-7/5", "5/3", "2/7"), ("1/3", "-5/4", "9/2", "1/6")]
+RASTER_GRIDS = [2, 11, 201]
+RASTER_PLANES = [(2, -3, 1), (1, 1, 1), (1, 0, 1), (1, -2, 0), ("2/3", "1/5", 1)]
+# The three rasters of the perfbench sweeps workload at its default seed.
+WORKLOAD_ATLAS = ((1, -3, 1), "1")
+WORKLOAD_UKAPPAS = ["4/5", "3"]
 
 
 def _adjacency_json(cone):
@@ -37,5 +48,34 @@ def golden_digest() -> str:
     return h.hexdigest()
 
 
+def raster_digest() -> str:
+    h = hashlib.sha256()
+
+    def atlas(plane, kappa, n, bbox):
+        rows = atlas_sweep(normalize_plane(plane), kappa, n, bbox)
+        h.update(json.dumps(rows).encode())
+        h.update(render_raster(rows, bbox).encode())
+
+    def ukappa(kappa, n, bbox):
+        rows, bad = ukappa_sweep(kappa, n, bbox)
+        h.update(json.dumps([rows, bad]).encode())
+        h.update(render_raster(rows, bbox, kappa=kappa).encode())
+
+    atlas(*WORKLOAD_ATLAS, 101, DEFAULT_BBOX)
+    for kappa in WORKLOAD_UKAPPAS:
+        ukappa(kappa, 101, DEFAULT_BBOX)
+    for kappa in RASTER_KAPPAS:
+        for bbox in RASTER_BBOXES:
+            for n in RASTER_GRIDS:
+                ukappa(kappa, n, bbox)
+                for plane in RASTER_PLANES:
+                    atlas(plane, kappa, n, bbox)
+    return h.hexdigest()
+
+
 def test_golden_outputs_unchanged():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_raster_outputs_unchanged():
+    assert raster_digest() == RASTER_SHA256
