@@ -23,7 +23,7 @@ from taxiconics import (
     section_to_json,
 )
 from taxiconics.atlas import atlas_sweep, ukappa_sweep
-from taxiconics.render import RenderSpec, render_raster, render_section
+from taxiconics.render import render_raster, render_section
 
 SECTIONS = {
     "hyperbola_vertex_at_infinity": (("1/2", "1/5", "1"), ("3/2", "1", "1"), "2"),
@@ -61,20 +61,20 @@ def main() -> int:
     for name, (A, a, kappa) in SECTIONS.items():
         section = build_section(cone_from_raw(A, a, kappa))
         (out / f"{name}.json").write_text(json.dumps(section_to_json(section), indent=2) + "\n")
-        (out / f"{name}.svg").write_text(render_section(section, RenderSpec()))
+        (out / f"{name}.svg").write_text(render_section(section))
         print(f"{name}: {section.klass}, {len(section.pieces)} pieces")
 
     plane = ("2/3", "1/5", "1")
     for name, (a, kappa) in STRIP_PANELS.items():
         section = build_section(cone_from_raw(plane, a, kappa))
-        (out / f"{name}.svg").write_text(render_section(section, RenderSpec()))
+        (out / f"{name}.svg").write_text(render_section(section))
         print(f"{name}: {section.klass}")
     rows = atlas_sweep(normalize_plane([rat(c) for c in plane]), rat("3/2"), args.grid)
     (out / "atlas_plane_2-3_1-5.svg").write_text(render_raster(rows, ("-2", "-2", "2", "2")))
 
     for name, (a1, a2) in HORIZONTAL_SHAPES.items():
         section, tag = horizontal_plane_section(normalize_line((rat(a1), rat(a2), 1)), 1)
-        (out / f"horizontal_{name}.svg").write_text(render_section(section, RenderSpec()))
+        (out / f"horizontal_{name}.svg").write_text(render_section(section))
         print(f"horizontal {name}: tag {tag}")
 
     for kappa in UKAPPA_VALUES:

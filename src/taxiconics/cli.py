@@ -16,7 +16,7 @@ from .atlas import DEFAULT_BBOX, MAX_GRID, atlas_sweep, ukappa_sweep
 from .cones import cone_from_json, normalize_plane
 from .errors import TaxiconicsError
 from .oracle import OracleConfig, verify_cone
-from .render import RenderSpec, _check_width, render_raster, render_section
+from .render import _check_width, render_raster, render_section
 from .sections import build_section, classify, section_from_json, section_to_json
 
 
@@ -111,14 +111,12 @@ def _cmd_ukappa(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    _check_width(args.width)
     data = json.loads(Path(args.section).read_text())
     section = section_from_json(data)
     viewport = None
     if args.viewport:
         viewport = tuple(map(rat, _split(args.viewport, "x0,y0,x1,y1")))
-    spec = RenderSpec(viewport=viewport, width=args.width)
-    _write(render_section(section, spec), args.output)
+    _write(render_section(section, viewport, args.width), args.output)
     return 0
 
 

@@ -28,9 +28,6 @@ class Point2:
     def __sub__(self, other: "Point2") -> "Point2":
         return Point2(self.x1 - other.x1, self.x2 - other.x2)
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x1 + other.x1, self.x2 + other.x2)
-
     def scaled(self, s: Rat) -> "Point2":
         return Point2(self.x1 * s, self.x2 * s)
 
@@ -152,26 +149,40 @@ def point_on_line(c1, c2, c0) -> Point2:
     return Point2(-c0 / c1, rat(0))
 
 
-def clip_interval(terms, lo=None, hi=None) -> Optional[tuple]:
-    """Narrow the parameter range [lo, hi] (None: unbounded) to the t with
-    v0 + t*v1 >= 0 for every (v0, v1) in terms.
+def clip_interval(origin, direction, forms, lo=None, hi=None) -> Optional[tuple]:
+    """Ends of the part of the line ((qx, qy) + s d)/q, origin = (qx, qy, q)
+    with q > 0, where every form (h1, h2, h0) has h1 x + h2 y + h0 >= 0 and
+    lo <= s <= hi (None: unbounded).  Every input is an integer.
 
-    Returns None when what is left is empty or a single point.
+    Each form gives the integer condition v0 + s v1 >= 0, and the bounds on s
+    are kept as pairs (num, den > 0).  Returns the two ends in order of
+    growing s, each a Point2, or None for an unbounded side; None when the
+    part is empty or a single point.
     """
-    for v0, v1 in terms:
-        if v1 == 0:
-            if v0 < 0:
-                return None
-            continue
-        bound = -v0 / v1
+    qx, qy, q = origin
+    d1, d2 = direction
+    lo = None if lo is None else (lo, 1)
+    hi = None if hi is None else (hi, 1)
+    for h1, h2, h0 in forms:
+        v0, v1 = h1 * qx + h2 * qy + h0 * q, h1 * d1 + h2 * d2
         if v1 > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        elif hi is None or bound < hi:
-            hi = bound
-    if lo is not None and hi is not None and lo >= hi:
+            if lo is None or -v0 * lo[1] > lo[0] * v1:
+                lo = (-v0, v1)
+        elif v1 < 0:
+            if hi is None or v0 * hi[1] < hi[0] * -v1:
+                hi = (v0, -v1)
+        elif v0 < 0:
+            return None
+    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
         return None
-    return lo, hi
+
+    def at(bound) -> Optional[Point2]:
+        if bound is None:
+            return None
+        n, m = bound
+        return Point2(Rat(qx * m + n * d1, q * m), Rat(qy * m + n * d2, q * m))
+
+    return at(lo), at(hi)
 
 
 def padded_box(points, pad) -> tuple[Rat, Rat, Rat, Rat]:

@@ -9,9 +9,10 @@ is read from the cone's one integer form, cone.residual_form (built from the
 distances, never from sections): exact_residual, the grid scan, the piece
 rebuild and the bisection that re-finds each vertex on its reference line
 q + t r_i (r_i from cones.reference_directions, q on rho^i) by the exact
-sign of the residual at the float t.  The float scans use plain Python floats;
-_linspace reproduces numpy.linspace bit for bit, so the package needs no
-numeric library.
+sign of the residual at the float t.  The rebuild clips each zero line to
+its region with geometry.clip_interval, the SVG writer's clipper.  The float
+scans use plain Python floats; _linspace reproduces numpy.linspace bit for
+bit, so the package needs no numeric library.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .geometry import (
     Point2,
     Ray,
     Segment,
+    clip_interval,
     padded_box,
     piece_contains,
     piece_point_at,
@@ -236,42 +238,28 @@ def section_bbox(section: ConicSection) -> tuple[Rat, Rat, Rat, Rat]:
 # independent rebuild: the zero set of the residual form, region by region
 
 
-def _clip_line(line, constraints) -> Optional[Piece]:
+def _clip_line(line, forms) -> Optional[Piece]:
     """The part of {c1 x + c2 y + c0 = 0} where every form h has h >= 0.
 
-    All forms are integer triples (c1, c2, c0) at (x, y, 1).  The line is
-    ((qx, qy) + s d)/q with d = (-c2, c1), q > 0, so each h gives the integer
-    sign condition v0 + s v1 >= 0, and the bounds on s are kept as integer
-    pairs (num, den > 0).  Returns a Segment, a Ray, or None when the part
+    All forms are integer triples (c1, c2, c0) at (x, y, 1), and
+    geometry.clip_interval clips the line ((qx, qy) + s d)/q with
+    d = (-c2, c1), q > 0.  Returns a Segment, a Ray, or None when the part
     is empty or a single point.
     """
     c1, c2, c0 = line
     qx, qy, q = (0, -c0, c2) if c2 else (-c0, 0, c1)
     if q < 0:
         qx, qy, q = -qx, -qy, -q
-    d1, d2 = -c2, c1
-    lo = hi = None
-    for h1, h2, h0 in constraints:
-        v0, v1 = h1 * qx + h2 * qy + h0 * q, h1 * d1 + h2 * d2
-        if v1 > 0:
-            if lo is None or -v0 * lo[1] > lo[0] * v1:
-                lo = (-v0, v1)
-        elif v1 < 0:
-            if hi is None or v0 * hi[1] < hi[0] * -v1:
-                hi = (v0, -v1)
-        elif v0 < 0:
-            return None
-
-    def at(bound) -> Point2:
-        n, m = bound
-        return Point2(Rat(qx * m + n * d1, q * m), Rat(qy * m + n * d2, q * m))
-
-    if lo is not None and hi is not None:
-        return Segment.of(at(lo), at(hi)) if lo[0] * hi[1] < hi[0] * lo[1] else None
-    if lo is not None:
-        return Ray.of(at(lo), d1, d2)
-    if hi is not None:
-        return Ray.of(at(hi), -d1, -d2)
+    ends = clip_interval((qx, qy, q), (-c2, c1), forms)
+    if ends is None:
+        return None
+    low, high = ends
+    if low is not None and high is not None:
+        return Segment.of(low, high)
+    if low is not None:
+        return Ray.of(low, -c2, c1)
+    if high is not None:
+        return Ray.of(high, c2, -c1)
     raise AssertionError("section piece cannot be a full line inside a region")
 
 

@@ -1,17 +1,18 @@
 """Deterministic SVG rendering of sections and parameter-space rasters.
 
-Exact rational geometry is clipped to the viewport before any float appears;
-rational-to-decimal conversion happens only here, at 12 significant digits,
-so identical inputs produce byte-identical SVG.
+Exact rational geometry is clipped to the viewport before any float appears,
+by geometry.clip_interval in integers, the clipper the verifier's piece
+rebuild uses too; rational-to-decimal conversion happens only here, at 12
+significant digits, so identical inputs produce byte-identical SVG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional
 
-from ._rat import rat
+from ._rat import as_integers, rat
+from .atlas import _kappa_terms
 from .geometry import Line2, Point2, Segment, clip_interval, padded_box, point_on_line
 from .sections import ConicSection, finite_points
 
@@ -19,15 +20,6 @@ from .sections import ConicSection, finite_points
 def _check_width(width: int):
     if width < 1:
         raise ValueError(f"width must be at least 1 pixel, got {width}")
-
-
-@dataclass
-class RenderSpec:
-    viewport: Optional[tuple] = None  # (xmin, ymin, xmax, ymax), rationals
-    width: int = 480
-
-    def __post_init__(self):
-        _check_width(self.width)
 
 
 _DEFAULT_STYLES = {
@@ -53,6 +45,9 @@ class _Canvas:
         self.scale = width / float(xmax - xmin)
         self.width = width
         self.height = float(ymax - ymin) * self.scale
+        # the box as four integer forms h1 x + h2 y + h0 >= 0
+        (x0, y0, x1, y1), d = as_integers(self.box)
+        self.forms = ((d, 0, -x0), (-d, 0, x1), (0, d, -y0), (0, -d, y1))
 
     def to_px(self, p: Point2):
         xmin, _, _, ymax = self.box
@@ -69,21 +64,18 @@ class _Canvas:
         )
 
     def clipped(self, q: Point2, d: Point2, style: str, lo=None, hi=None) -> Optional[str]:
-        """Path of q + t d, t in [lo, hi] (None: unbounded), clipped to the box."""
-        xmin, ymin, xmax, ymax = self.box
-        t = clip_interval(
-            ((q.x1 - xmin, d.x1), (xmax - q.x1, -d.x1), (q.x2 - ymin, d.x2), (ymax - q.x2, -d.x2)),
-            lo,
-            hi,
-        )
-        if t is None:
+        """Path of q + t d, t in [lo, hi] (None: unbounded), clipped to the box,
+        from its low end to its high end."""
+        (qx, qy, d1, d2), m = as_integers((q.x1, q.x2, d.x1, d.x2))
+        ends = clip_interval((qx, qy, m), (d1, d2), self.forms, lo, hi)
+        if ends is None:
             return None
-        return self.path(q + d.scaled(t[0]), q + d.scaled(t[1]), style)
+        return self.path(*ends, style)
 
     def clipped_piece(self, piece, style: str) -> Optional[str]:
         if isinstance(piece, Segment):
-            return self.clipped(piece.a, piece.b - piece.a, style, rat(0), rat(1))
-        return self.clipped(piece.base, piece.direction, style, rat(0))
+            return self.clipped(piece.a, piece.b - piece.a, style, 0, 1)
+        return self.clipped(piece.base, piece.direction, style, 0)
 
     def clipped_line(self, g: Line2, style: str) -> Optional[str]:
         return self.clipped(point_on_line(g.c1, g.c2, g.c0), g.direction(), style)
@@ -109,18 +101,17 @@ def default_viewport(section: ConicSection):
     return padded_box(points or [Point2(rat(0), rat(0))], 1)
 
 
-def render_section(section: ConicSection, spec: Optional[RenderSpec] = None) -> str:
+def render_section(section: ConicSection, viewport=None, width: int = 480) -> str:
     """SVG for a section: pieces, dashed trace, light reference lines, and
     markers for vertices and active auxiliary points.
 
-    Rays are clipped to the viewport; markers are always emitted (outside the
-    viewBox they are simply not visible), so a non-overlapping viewport still
-    yields a valid document with markers only.
+    viewport is (xmin, ymin, xmax, ymax), rationals; None takes
+    default_viewport.  Pieces and lines are clipped to it; markers are always
+    emitted (outside the viewBox they are simply not visible), so a
+    non-overlapping viewport still yields a valid document with markers only.
     """
-    if spec is None:
-        spec = RenderSpec()
-    box = spec.viewport if spec.viewport is not None else default_viewport(section)
-    canvas = _Canvas(box, spec.width)
+    _check_width(width)
+    canvas = _Canvas(default_viewport(section) if viewport is None else viewport, width)
     body: list[str] = []
     for _, g, _active in section.ref_lines:
         el = canvas.clipped_line(g, _DEFAULT_STYLES["ref_line"])
@@ -154,37 +145,41 @@ _CELL_FILL = {
 def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
     """SVG heat-map of a classification raster (row 0 at the bottom).
 
-    Given kappa, overlays the disks and square whose arrangement bounds the
-    ellipse region U_kappa of the perpendicular case.
+    The rows must all have one nonzero length, and there must be at least
+    one.  Given kappa, overlays the disks and square whose arrangement
+    bounds the ellipse region U_kappa of the perpendicular case.
     """
     _check_width(width)
-    n = len(rows)
-    box = tuple(rat(c) for c in bbox)
-    canvas = _Canvas(box, width)
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    if n_cols == 0 or any(len(row) != n_cols for row in rows):
+        raise ValueError(
+            f"a raster needs at least one row and rows of one nonzero length, "
+            f"got lengths {sorted({len(row) for row in rows})}"
+        )
+    canvas = _Canvas(bbox, width)
     xmin, ymin, xmax, ymax = canvas.box
-    cell_w = float(xmax - xmin) * canvas.scale / n
-    cell_h = float(ymax - ymin) * canvas.scale / n
+    cell_w = float(xmax - xmin) * canvas.scale / n_cols
+    cell_h = float(ymax - ymin) * canvas.scale / n_rows
     # Each column's x, each row's y and the cell size are formatted once.
     # A row's text is its y and the size joined between cols[0] and then
     # tails[letter][i] for each cell i: the end of cell i, a newline and the
-    # start of cell i + 1.  A run of equal letters is one list slice.
-    cols = [f'<rect x="{_fmt(ix * cell_w)}" y="' for ix in range(max(map(len, rows), default=0))]
+    # start of cell i + 1, or the bare end for the last cell.  A run of
+    # equal letters is one list slice.
+    cols = [f'<rect x="{_fmt(ix * cell_w)}" y="' for ix in range(n_cols)]
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
     ends = {letter: f'{fill}"/>' for letter, fill in _CELL_FILL.items()}
     tails = {letter: [f"{end}\n{col}" for col in cols[1:]] + [end] for letter, end in ends.items()}
     body = []
     for iy, row in enumerate(rows):
-        if not row:
-            continue
         parts, start = [cols[0]], 0
         for letter, run in groupby(row):
             stop = start + len(list(run))
             parts += tails[letter][start:stop]
             start = stop
-        parts[-1] = ends[row[-1]]  # a row shorter than the widest ends here
-        body.append((_fmt((n - 1 - iy) * cell_h) + size).join(parts))
+        body.append((_fmt((n_rows - 1 - iy) * cell_h) + size).join(parts))
     if kappa is not None:
-        k = float(rat(kappa))
+        kp, kq = _kappa_terms(kappa)
+        k = kp / kq
         style = _DEFAULT_STYLES["ukappa_boundary"]
 
         def circle(cx, cy, r):

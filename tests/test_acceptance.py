@@ -45,7 +45,7 @@ from taxiconics.oracle import (
     sample_piece_points,
     scan_reference_roots,
 )
-from taxiconics.render import RenderSpec, render_section
+from taxiconics.render import render_section
 from taxiconics.sections import active_indices, auxiliary_points, vertex_slot
 
 from conftest import (
@@ -372,7 +372,7 @@ def test_acceptance_9_determinism():
     }
     assert len(payloads) == 1
     section = build_section(cone)
-    svgs = {render_section(section, RenderSpec()) for _ in range(2)}
+    svgs = {render_section(section) for _ in range(2)}
     assert len(svgs) == 1
     plane = normalize_plane((rat(2, 3), rat(1, 5), 1))
     assert atlas_sweep(plane, 1, 41) == atlas_sweep(plane, 1, 41)

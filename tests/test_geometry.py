@@ -14,6 +14,7 @@ from taxiconics import (
 )
 from taxiconics.errors import CoincidentPoints, IdenticalLines
 from taxiconics.geometry import (
+    clip_interval,
     piece_contains,
     piece_point_at,
     primitive_direction,
@@ -117,3 +118,50 @@ def test_piece_membership():
 
 def test_segment_canonical_order():
     assert Segment.of(point2(2, 0), point2(0, 0)) == Segment.of(point2(0, 0), point2(2, 0))
+
+
+def reference_clip(origin, direction, forms, lo, hi):
+    """clip_interval with the parameter bounds as Fractions, each end solved
+    from its form on its own."""
+    (qx, qy, q), (d1, d2) = origin, direction
+    lo, hi = (None if b is None else rat(b) for b in (lo, hi))
+    for h1, h2, h0 in forms:
+        v0, v1 = h1 * qx + h2 * qy + h0 * q, h1 * d1 + h2 * d2
+        if v1 == 0:
+            if v0 < 0:
+                return None
+        elif v1 > 0:
+            lo = rat(-v0, v1) if lo is None else max(lo, rat(-v0, v1))
+        else:
+            hi = rat(-v0, v1) if hi is None else min(hi, rat(-v0, v1))
+    if lo is not None and hi is not None and lo >= hi:
+        return None
+    return tuple(None if t is None else point2((qx + t * d1) / q, (qy + t * d2) / q) for t in (lo, hi))
+
+
+small = st.integers(-6, 6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.tuples(small, small, st.integers(1, 5)),
+    st.tuples(small, small).filter(any),
+    st.lists(st.tuples(small, small, small), max_size=5),
+    st.one_of(st.none(), small),
+    st.one_of(st.none(), small),
+)
+def test_clip_interval_matches_fraction_reference(origin, direction, forms, lo, hi):
+    assert clip_interval(origin, direction, forms, lo, hi) == reference_clip(origin, direction, forms, lo, hi)
+
+
+def test_clip_interval_examples():
+    box = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]  # |x| <= 1, |y| <= 1
+    # the diagonal through the origin, corner to corner
+    assert clip_interval((0, 0, 1), (1, 1), box) == (point2(-1, -1), point2(1, 1))
+    # a ray from the origin, and a segment that stops inside the box
+    assert clip_interval((0, 0, 2), (1, 0), box, 0) == (point2(0, 0), point2(1, 0))
+    assert clip_interval((0, 0, 2), (1, 0), box, 0, 1) == (point2(0, 0), point2(rat(1, 2), 0))
+    # unbounded on one side, a single point, and a miss
+    assert clip_interval((0, 0, 1), (0, 1), [(0, 1, 0)]) == (point2(0, 0), None)
+    assert clip_interval((0, 2, 1), (1, -1), box) is None
+    assert clip_interval((0, 3, 1), (1, 0), box) is None

@@ -1,24 +1,28 @@
 """Golden output: one SHA-256 over the section JSON, SVG and adjacency of a
 fixed cone set, and the verify reports of the acceptance cones; a second one
-over the atlas and U_kappa rasters, their inconsistency lists and raster SVGs.
+over the atlas and U_kappa rasters, their inconsistency lists and raster SVGs;
+a third over section SVGs at explicit viewports.
 
 The digests pin byte-identical output across refactors.  A change that
-alters output on purpose updates GOLDEN_SHA256 or RASTER_SHA256 and says why.
+alters output on purpose updates GOLDEN_SHA256, RASTER_SHA256 or
+VIEWPORT_SHA256 and says why.
 """
 
 import hashlib
 import json
+import random
 
-from taxiconics import adjacency, build_section, cone_from_raw, normalize_plane, section_to_json
+from taxiconics import adjacency, build_section, cone_from_raw, normalize_plane, point2, rat, section_to_json
 from taxiconics.atlas import DEFAULT_BBOX, atlas_sweep, ukappa_sweep
 from taxiconics.oracle import OracleConfig, verify_cone
-from taxiconics.render import render_raster, render_section
+from taxiconics.render import default_viewport, render_raster, render_section
 
 from conftest import random_cones, random_vertex_at_infinity_cones
 from test_oracle import ACCEPTANCE_CONES
 
 GOLDEN_SHA256 = "429e566eff3ae6017d52c79ee6c404345392277d3b4da47b40b783b969496eed"
 RASTER_SHA256 = "19a6d017e8f2c370ce2df7394b63f317c5fc3cb6b5b8d8e042f05bb376612f38"
+VIEWPORT_SHA256 = "b44382c70a7dd086a815f30a865df2a83f4f423705aabf42ab4ff7e31520cb29"
 
 RASTER_KAPPAS = ["1/5", "2/5", "1/2", "4/5", "1", "5/4", "3"]
 RASTER_BBOXES = [DEFAULT_BBOX, ("-3/2", "-7/5", "5/3", "2/7"), ("1/3", "-5/4", "9/2", "1/6")]
@@ -73,9 +77,45 @@ def raster_digest() -> str:
     return h.hexdigest()
 
 
+def seeded_viewports(section, rng):
+    """Three viewports of a section: a box inside its default viewport, which
+    cuts the pieces that cross it; a box beside it, which most pieces miss;
+    and a box with one corner on a finite vertex (or the origin), which
+    pieces leaving that vertex away from the box touch only at the corner."""
+    xmin, ymin, xmax, ymax = default_viewport(section)
+    w, h = xmax - xmin, ymax - ymin
+
+    def part(top):
+        return rat(rng.randrange(top), 9)
+
+    inside = (xmin + w * part(4), ymin + h * part(4), xmax - w * part(4), ymax - h * part(4))
+    sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+    beside = (xmin + sx * 2 * w, ymin + sy * 2 * h, xmax + sx * 2 * w, ymax + sy * 2 * h)
+    finite = [v.location.point for v in section.vertices if v.location.is_finite]
+    c = rng.choice(finite) if finite else point2(0, 0)
+    dx, dy = sx * w * (1 + part(9)), sy * h * (1 + part(9))
+    corner = (min(c.x1, c.x1 + dx), min(c.x2, c.x2 + dy), max(c.x1, c.x1 + dx), max(c.x2, c.x2 + dy))
+    return [inside, beside, corner]
+
+
+def viewport_digest() -> str:
+    rng = random.Random(20240811)
+    cones = [cone_from_raw(*spec) for spec in ACCEPTANCE_CONES] + random_cones(300, 20240811)
+    h = hashlib.sha256()
+    for cone in cones:
+        section = build_section(cone)
+        for box in seeded_viewports(section, rng):
+            h.update(render_section(section, viewport=box, width=rng.randrange(1, 700)).encode())
+    return h.hexdigest()
+
+
 def test_golden_outputs_unchanged():
     assert golden_digest() == GOLDEN_SHA256
 
 
 def test_raster_outputs_unchanged():
     assert raster_digest() == RASTER_SHA256
+
+
+def test_viewport_outputs_unchanged():
+    assert viewport_digest() == VIEWPORT_SHA256

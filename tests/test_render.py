@@ -1,5 +1,5 @@
 """Library-level input checks of the SVG writers, and the raster writer
-against a per-cell reference."""
+against a per-cell reference on rectangular rasters."""
 
 import random
 
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxiconics import build_section, cone_from_raw, rat
-from taxiconics.render import _CELL_FILL, RenderSpec, _fmt, render_raster, render_section
+from taxiconics.errors import NonPositiveKappa
+from taxiconics.render import _CELL_FILL, _fmt, render_raster, render_section
 
 
 @pytest.mark.parametrize("width", [0, -5])
@@ -18,11 +19,35 @@ def test_render_raster_rejects_width_below_one(width):
 
 
 @pytest.mark.parametrize("width", [0, -5])
-def test_render_spec_rejects_width_below_one(width):
-    with pytest.raises(ValueError, match="width must be at least 1"):
-        RenderSpec(width=width)
+def test_render_section_rejects_width_below_one(width):
     section = build_section(cone_from_raw((0, 0, 1), (0, 0, 1), 1))
-    assert render_section(section, RenderSpec(width=1)).startswith("<svg")
+    with pytest.raises(ValueError, match="width must be at least 1"):
+        render_section(section, width=width)
+    assert render_section(section, width=1).startswith("<svg")
+
+
+@pytest.mark.parametrize("rows", [[], [""], ["", ""], ["EP", "E"], ["E", "EP"], ["EPH", "", "EPH"]])
+def test_render_raster_rejects_empty_or_ragged_rows(rows):
+    with pytest.raises(ValueError, match="rows of one nonzero length"):
+        render_raster(rows, ("-2", "-2", "2", "2"))
+
+
+@pytest.mark.parametrize("kappa", ["-1", "0", -2, rat(-1, 3)])
+def test_render_raster_rejects_non_positive_kappa(kappa):
+    with pytest.raises(NonPositiveKappa):
+        render_raster(["EP", "HD"], ("-2", "-2", "2", "2"), kappa=kappa)
+
+
+def test_render_raster_sizes_cells_from_row_length_and_row_count():
+    svg = render_raster(["EEE"], ("-2", "-2", "2", "2"), width=300)
+    fill = _CELL_FILL["E"]
+    assert svg.split("\n")[1:4] == [
+        f'<rect x="{x}" y="0" width="100" height="300" fill="{fill}"/>' for x in (0, 100, 200)
+    ]
+    assert render_raster(["EP", "HD", "DD"], ("0", "0", "2", "3"), width=200).split("\n")[1:7] == [
+        f'<rect x="{x}" y="{y}" width="100" height="100" fill="{_CELL_FILL[c]}"/>'
+        for y, row in ((200, "EP"), (100, "HD"), (0, "DD")) for x, c in zip((0, 100), row)
+    ]
 
 
 def per_cell_rects(rows, bbox, width):
@@ -30,7 +55,7 @@ def per_cell_rects(rows, bbox, width):
     xmin, ymin, xmax, ymax = (rat(c) for c in bbox)
     scale = width / float(xmax - xmin)
     n = len(rows)
-    cell_w = float(xmax - xmin) * scale / n
+    cell_w = float(xmax - xmin) * scale / len(rows[0])
     cell_h = float(ymax - ymin) * scale / n
     return [
         f'<rect x="{_fmt(ix * cell_w)}" y="{_fmt((n - 1 - iy) * cell_h)}" '
@@ -45,16 +70,26 @@ def assert_raster_matches_per_cell(rows, bbox, width):
     assert lines[1:-2] == per_cell_rects(rows, bbox, width)
 
 
-def test_render_raster_matches_per_cell_ragged_rows():
+def test_render_raster_matches_per_cell_rectangular_rows():
     rng = random.Random(20240816)
     for _ in range(200):
-        rows = ["".join(rng.choice("EPHD") * rng.randrange(1, 6) for _ in range(rng.randrange(0, 9)))
-                for _ in range(rng.randrange(1, 12))]
+        cols = rng.randrange(1, 40)
+        rows = []
+        for _ in range(rng.randrange(1, 12)):
+            row = ""
+            while len(row) < cols:
+                row += rng.choice("EPHD") * rng.randrange(1, 6)
+            rows.append(row[:cols])
         assert_raster_matches_per_cell(rows, ("-3/2", "-7/5", "5/3", "2/7"), rng.randrange(1, 700))
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.text("EPHD", max_size=30), min_size=1, max_size=20), st.integers(1, 900))
+@given(
+    st.integers(1, 30).flatmap(
+        lambda cols: st.lists(st.text("EPHD", min_size=cols, max_size=cols), min_size=1, max_size=20)
+    ),
+    st.integers(1, 900),
+)
 def test_render_raster_matches_per_cell_hypothesis(rows, width):
     assert_raster_matches_per_cell(rows, ("-2", "-2", "2", "2"), width)
 
