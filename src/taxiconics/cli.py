@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_section)
 
-    p = sub.add_parser("verify", help="run the numeric/brute-force oracle suite")
+    p = sub.add_parser("verify", help="run the exact verification suite")
     p.add_argument("spec")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--grid", type=int, default=201, help=f"odd grid resolution, 3 to {MAX_GRID}")

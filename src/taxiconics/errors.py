@@ -45,9 +45,5 @@ class NotParallel(TaxiconicsError):
     """Plane traces on the slicing plane are not parallel."""
 
 
-class NoSignChange(TaxiconicsError):
-    """Bisection interval does not bracket a root."""
-
-
 class InconsistentClassification(TaxiconicsError):
     """Strip-based classification disagrees with the perpendicular-case region."""

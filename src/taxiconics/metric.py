@@ -20,8 +20,6 @@ from .errors import ZeroComponent, ZeroVector
 if TYPE_CHECKING:  # only for annotations; cones.py imports this module
     from .cones import LineParams, PlaneParams
 
-INF = math.inf
-
 DOMINANT = "dominant"
 TRANSITIONAL = "transitionally_dominant"
 NONE = "none"
@@ -87,19 +85,6 @@ def taxicab_dist(x: Point3, y: Point3) -> Rat:
     return abs(x.x1 - y.x1) + abs(x.x2 - y.x2) + abs(x.x3 - y.x3)
 
 
-def _plane_value(x: Point3, a_triple) -> Rat:
-    return a_triple[0] * x.x1 + a_triple[1] * x.x2 + a_triple[2] * x.x3
-
-
-def partial_plane_dist(x: Point3, a_triple, i: int):
-    """d_i(x, P): move only coordinate i; +inf when the move cannot reach P."""
-    a_triple = tuple(rat(c) for c in a_triple)
-    value = _plane_value(x, a_triple)
-    if a_triple[i - 1] == 0:
-        return Rat(0) if value == 0 else INF
-    return abs(value) / abs(a_triple[i - 1])
-
-
 def dist_to_plane(x: Point3, plane: "PlaneParams") -> Rat:
     """Taxicab distance from x to the plane P_A, exact."""
     return abs(plane.A1 * x.x1 + plane.A2 * x.x2 + plane.delta * x.x3) / plane.M
@@ -107,28 +92,6 @@ def dist_to_plane(x: Point3, plane: "PlaneParams") -> Rat:
 
 def _line_f(x: Point3, a, t: Rat) -> Rat:
     return abs(x.x1 - a[0] * t) + abs(x.x2 - a[1] * t) + abs(x.x3 - a[2] * t)
-
-
-def partial_line_dist(x: Point3, a_triple, pair):
-    """d_{j,k}(x, ell): move only coordinates j and k.
-
-    Returns +inf when the third coordinate pins the line parameter to an
-    unreachable value (a_i = 0 with x_i != 0).
-    """
-    a = tuple(rat(c) for c in a_triple)
-    xs = tuple(x)
-    j, k = pair
-    (i,) = set((1, 2, 3)) - {j, k}
-    if a[i - 1] != 0:
-        return _line_f(x, a, xs[i - 1] / a[i - 1])
-    if xs[i - 1] != 0:
-        return INF
-    # line parameter free: two-term convex minimum at the heavier slope
-    cands = [m for m in (j, k) if a[m - 1] != 0]
-    if not cands:
-        raise ZeroVector("line parameter must be nonzero")
-    m = max(cands, key=lambda idx: abs(a[idx - 1]))
-    return _line_f(x, a, xs[m - 1] / a[m - 1])
 
 
 def dist_to_line(x: Point3, line: "LineParams") -> Rat:

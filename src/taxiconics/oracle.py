@@ -1,31 +1,28 @@
-"""Brute-force numeric and exact-grid verification of the closed forms.
+"""Exact verification of the constructed sections.
 
-The oracles deliberately avoid the closed-form machinery: line distance is
-minimized by a dense scan plus ternary refinement of the convex map
-t -> sum |x_i - a_i t|; the section pieces are checked against an exact
-residual scan on a rational grid, against a rebuild region by region, and
-their topology against the class.  Every residual d(x, ell) - kappa d(x, P)
-is read from the cone's one integer form, cone.residual_form (built from the
-distances, never from sections): exact_residual, the grid scan, the piece
-rebuild and the bisection that re-finds each vertex on its reference line
-q + t r_i (r_i from cones.reference_directions, q on rho^i) by the exact
-sign of the residual at the float t.  The rebuild clips each zero line to
-its region with geometry.clip_interval, the SVG writer's clipper.  The float
-scans use plain Python floats; _linspace reproduces numpy.linspace bit for
-bit, so the package needs no numeric library.
+The checks deliberately avoid the construction's closed forms.  Every
+residual d(x, ell) - kappa d(x, P) is read from the cone's one integer form,
+cone.residual_form (built from the distances, never from sections):
+exact_residual at the vertices and at sampled piece points; the grid scan,
+whose exact zeros on a rational grid must lie on the pieces; the exact roots
+on each active reference line q + t r_i (r_i from
+cones.reference_directions, q on rho^i), which must be the finite vertices
+on it; and the rebuild of the pieces region by region, which clips each zero
+line with geometry.clip_interval, the SVG writer's clipper.  The topology of
+the pieces must match the class.  No check uses floating point; only the
+grid report prints its largest residual off the section as a float.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from itertools import product
-from typing import Callable, Optional
+from itertools import combinations, product
+from typing import Optional
 
 from ._rat import Rat, as_integers, rat, rat_str, sign
 from .atlas import MAX_GRID, grid_axes
-from .cones import ConeSpec, LineParams, cone_to_json, reference_directions, reference_lines
-from .errors import NoSignChange
+from .cones import ConeSpec, LineParams, active_indices, cone_to_json, reference_directions, reference_lines
 from .geometry import (
     Line2,
     Piece,
@@ -40,13 +37,6 @@ from .geometry import (
     point_on_line,
 )
 from .sections import ConicSection, build_section, finite_points, section_topology
-
-# the float oracles: dense scan of t over [-T_RANGE, T_RANGE], then at most
-# REFINE_ITERS ternary or bisection steps down to an interval of TOL / 16
-T_RANGE = 100.0
-T_STEPS = 10001
-REFINE_ITERS = 200
-TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,70 +53,6 @@ class OracleConfig:
 DEFAULT_CONFIG = OracleConfig()
 
 
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """numpy.linspace(lo, hi, n) exactly: lo + k step, with hi itself last."""
-    lo, hi = float(lo), float(hi)
-    step = (hi - lo) / (n - 1)
-    return [lo + k * step for k in range(n - 1)] + [hi]
-
-
-def numeric_dist_to_line(x, a_triple) -> float:
-    """min_t sum |x_i - a_i t| by dense scan plus ternary refinement."""
-    x1, x2, x3 = (float(c) for c in x)
-    a1, a2, a3 = (float(c) for c in a_triple)
-
-    def f(t):
-        return abs(x1 - a1 * t) + abs(x2 - a2 * t) + abs(x3 - a3 * t)
-
-    ts = _linspace(-T_RANGE, T_RANGE, T_STEPS)
-    # f inlined, as the scan is most of the oracle's time
-    values = [abs(x1 - a1 * t) + abs(x2 - a2 * t) + abs(x3 - a3 * t) for t in ts]
-    k = values.index(min(values))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, len(ts) - 1)]
-    for _ in range(REFINE_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < TOL / 16:
-            break
-    return f((lo + hi) / 2.0)
-
-
-def numeric_dist_to_plane(x, a_triple) -> float:
-    """min over plane points of the taxicab distance, by iterative grid zoom.
-
-    The plane A . y = 0 is parametrized by the two coordinates with the
-    largest remaining |A| component solving for the third.
-    """
-    A = [float(c) for c in a_triple]
-    xs = [float(c) for c in x]
-    k = max(range(3), key=lambda i: abs(A[i]))
-    i, j = [m for m in range(3) if m != k]
-
-    def dist(u, v):
-        w = -(A[i] * u + A[j] * v) / A[k]
-        y = [0.0, 0.0, 0.0]
-        y[i], y[j], y[k] = u, v, w
-        return sum(abs(p - q) for p, q in zip(xs, y))
-
-    cu, cv = xs[i], xs[j]
-    half = max(1.0, 2.0 * sum(abs(c) for c in xs))
-    best = dist(cu, cv)
-    for _ in range(60):
-        us = _linspace(cu - half, cu + half, 41)
-        vs = _linspace(cv - half, cv + half, 41)
-        grid = [(dist(u, v), u, v) for u in us for v in vs]
-        best, cu, cv = min(grid)
-        half *= 0.1
-        if half < TOL / 16:
-            break
-    return best
-
-
 def _ref_param(line: LineParams, ref_index: int) -> tuple[Point2, tuple]:
     """Origin q and direction r_i of the parametrization q + t r_i of rho^i.
 
@@ -137,81 +63,44 @@ def _ref_param(line: LineParams, ref_index: int) -> tuple[Point2, tuple]:
     return point_on_line(g.c1, g.c2, g.c0), reference_directions(line)[ref_index]
 
 
-def _g_along_ref(cone: ConeSpec, ref_index: int) -> Callable[[float], int]:
-    """g(t) = the exact sign of d(x, ell) - kappa d(x, P) at x = q + t r_i on rho^i.
+def reference_roots(cone: ConeSpec, ref_index: int) -> tuple[list[Rat], bool]:
+    """Exact roots t of d(x, ell) - kappa d(x, P) at x = q + t r_i on rho^i,
+    and whether it is zero all along some interval.
 
-    The float t is the exact rational tn/td, so x = (Q + tn R)/(e td) over
-    integers Q, R and e, and the sign is that of the form's numerator there.
+    At x = (Q + t R)/e in integers, each term form T of cone.residual_form
+    and its plane form G is an integer line c + s t in t.  Between
+    consecutive zeros of the T, of G, of each S_k -/+ G and of each
+    S_j -/+ S_k (S_k = T_k1 -/+ T_k2) every T and G keeps its sign and the
+    least |T_k1| + |T_k2| its index, so num is linear there.  Its roots are
+    thus among these candidates, and it is zero on an interval iff it is
+    zero at two consecutive probes: the candidates and one point beyond each
+    end, or two points when there is no candidate and num is constant.
     """
     q, r = _ref_param(cone.line, ref_index)
     (q1, q2, r1, r2), e = as_integers((q.x1, q.x2, *r))
-    num = cone.residual_form.num
+    form = cone.residual_form
 
-    def g(t: float) -> int:
-        tn, td = t.as_integer_ratio()
-        return sign(num(q1 * td + tn * r1, q2 * td + tn * r2, e * td))
+    def along(c1, c2, c3):
+        return c1 * q1 + c2 * q2 + c3 * e, c1 * r1 + c2 * r2
 
-    return g
+    def combos(u, v):
+        return [(u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1])]
 
-
-def vertex_bisection(
-    cone: ConeSpec,
-    ref_index: int,
-    interval: tuple[float, float],
-) -> float:
-    """Root t in interval of d(x, ell) - kappa d(x, P) at x = q + t r_i, by bisection.
-
-    Each step reads the exact sign of the residual at the float t, so an
-    endpoint or midpoint that is an exact root is returned as it is.
-    """
-    g = _g_along_ref(cone, ref_index)
-    lo, hi = float(interval[0]), float(interval[1])
-    glo, ghi = g(lo), g(hi)
-    if glo == 0:
-        return lo
-    if ghi == 0:
-        return hi
-    if glo == ghi:
-        raise NoSignChange(f"g({lo}) and g({hi}) have the same sign {glo:+d}")
-    for _ in range(REFINE_ITERS):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0:
-            return mid
-        if gm == glo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < TOL / 16:
-            break
-    return 0.5 * (lo + hi)
-
-
-def scan_reference_roots(
-    cone: ConeSpec,
-    ref_index: int,
-    window: tuple[float, float] = (-50.0, 50.0),
-    steps: int = 4001,
-) -> list[float]:
-    """All bracketed roots t of g along rho^i with t inside a window."""
-    g = _g_along_ref(cone, ref_index)
-    ts = _linspace(window[0], window[1], steps)
-    signs = [g(t) for t in ts]
-    roots = []
-    for k in range(len(ts) - 1):
-        s0, s1 = signs[k], signs[k + 1]
-        if s0 == 0:
-            roots.append(ts[k])
-        elif (s0 > 0) != (s1 > 0):
-            roots.append(vertex_bisection(cone, ref_index, (ts[k], ts[k + 1])))
-    if signs[-1] == 0:
-        roots.append(ts[-1])
-    # merge near-duplicates from exact hits adjacent to sign changes
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or abs(r - merged[-1]) > 16 * TOL:
-            merged.append(r)
-    return merged
+    terms = [[along(*t) for t in pair] for pair in form.terms]
+    g = along(*form.plane)
+    sums = [combos(*pair) for pair in terms]
+    lines = [t for pair in terms for t in pair] + [g]
+    lines += [w for s_k in sums for s in s_k for w in combos(s, g)]
+    lines += [w for s_j, s_k in combinations(sums, 2) for a in s_j for b in s_k for w in combos(a, b)]
+    cands = sorted({Rat(-c, s) for c, s in lines if s})
+    probes = [cands[0] - 1, *cands, cands[-1] + 1] if cands else [Rat(0), Rat(1)]
+    zero = [
+        form.num(q1 * t.denominator + t.numerator * r1, q2 * t.denominator + t.numerator * r2,
+                 e * t.denominator) == 0
+        for t in probes
+    ]
+    roots = [t for t, z in zip(probes[1:-1], zero[1:-1]) if z]
+    return roots, any(z and w for z, w in zip(zero, zero[1:]))
 
 
 def exact_residual(cone: ConeSpec, p: Point2) -> Rat:
@@ -390,11 +279,13 @@ def sample_piece_points(piece, count: int, rng) -> list[Point2]:
 def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     """Full verification report for one cone.
 
-    Checks vertex exactness, residuals of sampled piece points, vertex
-    reproduction by bisection, the exact-zero coverage of a padded grid
-    scan, the pieces against their rebuild from the residual form (every
-    cone) and the piece topology against the class.  The report's
-    "violations" list must be empty for a pass.
+    Checks vertex exactness, residuals of sampled piece points, the exact
+    roots on each active reference line against its finite vertices (none
+    missed, none extra, no zero interval; "vertices_bisected" counts the
+    vertices so confirmed), the exact-zero coverage of a padded grid scan,
+    the pieces against their rebuild from the residual form (every cone)
+    and the piece topology against the class.  The report's "violations"
+    list must be empty for a pass.
     """
     rng = random.Random(0)
     section = build_section(cone)
@@ -414,24 +305,19 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
                     f"piece point ({rat_str(p.x1)}, {rat_str(p.x2)}) has nonzero residual"
                 )
 
-    bisected = 0
-    params = {v: float(_vertex_parameter(cone, v)) for v in finite_vertices}
-    for v, t in params.items():
-        # the bracket must not reach the other vertex on the same reference
-        # line, or both roots fall inside it and g has no sign change
-        half = min(
-            [0.75]
-            + [abs(t - t2) / 2 for w, t2 in params.items()
-               if w is not v and w.ref_index == v.ref_index]
-        )
-        try:
-            root = vertex_bisection(cone, v.ref_index, (t - half, t + half))
-        except NoSignChange:
-            violations.append(f"no sign change around vertex {v.label}")
-            continue
-        bisected += 1
-        if abs(root - t) > 1e-6:
-            violations.append(f"bisection missed vertex {v.label}")
+    confirmed = 0
+    for i in active_indices(cone.line):
+        roots, interval = reference_roots(cone, i)
+        params = sorted(_vertex_parameter(cone, v) for v in finite_vertices if v.ref_index == i)
+        if interval:
+            violations.append(f"the residual is zero on an interval of rho^{i}")
+        elif roots != params:
+            violations.append(
+                f"roots t = [{', '.join(map(rat_str, roots))}] on rho^{i} are not its "
+                f"finite vertices at t = [{', '.join(map(rat_str, params))}]"
+            )
+        else:
+            confirmed += len(params)
 
     scan = grid_residual_scan(cone, section, cfg=cfg)
     violations.extend(scan.violations)
@@ -450,7 +336,7 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
         "class": section.klass,
         "vertices_checked": len(finite_vertices),
         "piece_points_checked": sampled,
-        "vertices_bisected": bisected,
+        "vertices_bisected": confirmed,
         "grid": scan.to_json(),
         "violations": violations,
         "passed": not violations,

@@ -140,14 +140,16 @@ _CELL_FILL = {
     "H": "#beaed4",
     "D": "#e0e0e0",
 }
+_DROP_CELL_LETTERS = str.maketrans("", "", "".join(_CELL_FILL))
 
 
 def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
     """SVG heat-map of a classification raster (row 0 at the bottom).
 
-    The rows must all have one nonzero length, and there must be at least
-    one.  Given kappa, overlays the disks and square whose arrangement
-    bounds the ellipse region U_kappa of the perpendicular case.
+    The rows must all have one nonzero length, there must be at least one,
+    and every letter must be E, P, H or D.  Given kappa, overlays the disks
+    and square whose arrangement bounds the ellipse region U_kappa of the
+    perpendicular case.
     """
     _check_width(width)
     n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
@@ -156,6 +158,9 @@ def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
             f"a raster needs at least one row and rows of one nonzero length, "
             f"got lengths {sorted({len(row) for row in rows})}"
         )
+    unknown = "".join(rows).translate(_DROP_CELL_LETTERS)
+    if unknown:
+        raise ValueError(f"raster letters must be E, P, H or D, got {', '.join(sorted(set(unknown)))}")
     canvas = _Canvas(bbox, width)
     xmin, ymin, xmax, ymax = canvas.box
     cell_w = float(xmax - xmin) * canvas.scale / n_cols

@@ -42,8 +42,8 @@ from taxiconics.oracle import (
     _rebuild_pieces,
     exact_residual,
     grid_residual_scan,
+    reference_roots,
     sample_piece_points,
-    scan_reference_roots,
 )
 from taxiconics.render import render_section
 from taxiconics.sections import active_indices, auxiliary_points, vertex_slot
@@ -108,9 +108,7 @@ def test_acceptance_3_fig11_horizontal_case():
     assert all(isinstance(p, Ray) for p in section.pieces)
     report = grid_residual_scan(cone, section, cfg=OracleConfig(grid_n=201))
     assert report.violations == []
-    roots = scan_reference_roots(cone, 3, window=(-4, 4), steps=1601)
-    assert len(roots) == 2
-    assert abs(roots[0] - (-12 / 11)) < 1e-9 and abs(roots[1]) < 1e-9
+    assert reference_roots(cone, 3) == ([rat(-12, 11), rat(0)], False)
     _report(3, "figure-11 horizontal line pipeline")
 
 

@@ -1,0 +1,118 @@
+"""The boundary census: every cone with A1, A2, a1, a2 in {0, +-1/2, +-1, +-2},
+delta, a3 in {0, 1} and kappa in {1/2, 1, 2}.
+
+Small parameters make the exact equalities that the classification turns
+on common: parabolas, vertices at infinity and transitional lines are each
+a tenth or more of the census, against a few percent of the random
+families.  On every census cone the pieces equal their rebuild from the
+residual form, their topology is the class, and the exact roots on each
+active reference line are its finite vertices.
+
+Tier-1 checks a fixed-stride slice.  Run the whole census, which prints its
+counts, before any change to the construction or the verifier:
+
+    PYTHONPATH=src python tests/test_census.py
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from collections import Counter
+from itertools import product
+
+from taxiconics import build_section, cone_from_raw, cone_to_json, rat, section_topology
+from taxiconics.cones import active_indices
+from taxiconics.errors import DegenerateCone, ZeroVector
+from taxiconics.oracle import _rebuild_pieces, _vertex_parameter, reference_roots
+
+VALUES = [rat(0)] + [s * rat(v) for v in ("1/2", "1", "2") for s in (1, -1)]
+KAPPAS = [rat(1, 2), rat(1), rat(2)]
+# every SLICE_STRIDE-th parameter choice: 2297 cones.  The stride is prime
+# to the 12 choices of (delta, a3, kappa) and the 7 values, so the slice
+# keeps the census's shares of each case
+SLICE_STRIDE = 11
+
+
+def census_specs():
+    """The census parameter choices (A, a, kappa), valid or not, in a fixed order."""
+    for A1, A2, a1, a2 in product(VALUES, repeat=4):
+        for delta, a3 in product((0, 1), repeat=2):
+            for kappa in KAPPAS:
+                yield (A1, A2, delta), (a1, a2, a3), kappa
+
+
+def census_cones(stride: int = 1, rejected: Counter | None = None) -> list:
+    """The valid cones among every stride-th census choice; the rest are
+    counted in rejected by the name of their error."""
+    cones = []
+    for k, spec in enumerate(census_specs()):
+        if k % stride:
+            continue
+        try:
+            cones.append(cone_from_raw(*spec))
+        except (DegenerateCone, ZeroVector) as err:
+            if rejected is not None:
+                rejected[type(err).__name__] += 1
+    return cones
+
+
+def census_failures(cone, section) -> tuple:
+    """The checks the section of cone fails: rebuild, topology, roots on rho^i."""
+    failed = []
+    if section.pieces != _rebuild_pieces(cone):
+        failed.append("rebuild")
+    try:
+        topology = section_topology(section.pieces)
+    except ValueError:
+        topology = "no conic"
+    if topology != section.klass:
+        failed.append("topology")
+    for i in active_indices(cone.line):
+        params = sorted(_vertex_parameter(cone, v) for v in section.vertices
+                        if v.location.is_finite and v.ref_index == i)
+        if reference_roots(cone, i) != (params, False):
+            failed.append(f"roots on rho^{i}")
+    return tuple(failed)
+
+
+def census_counts(cones, failed: list) -> Counter:
+    """Class and boundary-case counts over cones; each cone that fails a
+    check goes into failed with the checks it fails."""
+    counts = Counter(cones=len(cones))
+    for cone in cones:
+        section = build_section(cone)
+        counts[section.klass] += 1
+        counts["vertex at infinity"] += any(not v.location.is_finite for v in section.vertices)
+        counts["transitional line"] += cone.line.dominance.is_transitional
+        counts["horizontal line"] += cone.line.is_horizontal
+        if checks := census_failures(cone, section):
+            failed.append((cone_to_json(cone), checks))
+    counts["failed"] = len(failed)
+    return counts
+
+
+def test_census_slice():
+    failed = []
+    counts = census_counts(census_cones(SLICE_STRIDE), failed)
+    assert failed == []
+    # the slice keeps every boundary case of the census
+    for case in ("ellipse", "parabola", "hyperbola", "vertex at infinity",
+                 "transitional line", "horizontal line"):
+        assert counts[case] > 100, (case, counts)
+
+
+def main() -> int:
+    start = time.perf_counter()
+    rejected, failed = Counter(), []
+    counts = census_counts(census_cones(rejected=rejected), failed)
+    for name, count in sorted({**counts, **rejected}.items()):
+        print(f"{name}: {count}")
+    for cone, checks in failed:
+        print(f"FAILED {', '.join(checks)}: {cone}")
+    print(f"seconds: {time.perf_counter() - start:.1f}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,10 +15,9 @@ from taxiconics import (
     wedge_index,
 )
 from taxiconics.errors import ZeroComponent, ZeroVector
-from taxiconics.metric import partial_line_dist, partial_plane_dist
-from taxiconics.oracle import numeric_dist_to_line, numeric_dist_to_plane
 
 from conftest import rnd_rat
+from float_reference import numeric_dist_to_line, numeric_dist_to_plane, partial_line_dist, partial_plane_dist
 
 
 def test_taxicab_dist_examples():

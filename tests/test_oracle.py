@@ -10,25 +10,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taxiconics import build_section, cone_from_raw, point2, point3, rat, rat_str, section_topology
-from taxiconics.errors import DegenerateCone, NoSignChange, ZeroVector
+from taxiconics.cones import active_indices
+from taxiconics.errors import DegenerateCone, ZeroVector
 from taxiconics.geometry import Point2, piece_contains
 from taxiconics.oracle import (
     OracleConfig,
     ScanReport,
-    _linspace,
+    _ref_param,
+    _vertex_parameter,
     exact_residual,
     grid_residual_scan,
-    numeric_dist_to_line,
-    scan_reference_roots,
+    reference_roots,
     section_bbox,
-    vertex_bisection,
     verify_cone,
 )
 
 from conftest import reference_residual
+from float_reference import linspace, numeric_dist_to_line
 
 FIG8 = ((rat(1, 2), rat(1, 5), 1), (rat(3, 2), 1, 1), 2)
 FIG11 = ((rat(1, 2), rat(1, 3), 1), (3, 1, 0), 1)
+
+rationals = st.builds(rat, st.integers(-12, 12), st.integers(1, 6))
 
 
 def test_config_validation():
@@ -50,30 +53,28 @@ def test_numeric_dist_to_line_examples():
 
 def test_linspace_matches_numpy():
     np = pytest.importorskip("numpy")
-    # the line oracle's scan, the scan_reference_roots windows of the tests
-    cases = [(-100.0, 100.0, 10001), (-50.0, 50.0, 4001), (-4, 4, 801), (-4, 4, 1601), (-30, 30, 3001)]
-    # the plane oracle's zoom windows, centre -/+ half with 41 points
+    # the line reference's scan
+    cases = [(-100.0, 100.0, 10001)]
+    # the plane reference's zoom windows, centre -/+ half with 41 points
     rng = random.Random(7)
     for _ in range(300):
         centre, half = rng.uniform(-20, 20), 10.0 ** rng.randint(-11, 2)
         cases.append((centre - half, centre + half, 41))
     for lo, hi, n in cases:
-        assert _linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+        assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
 
 
 def test_library_imports_without_numpy():
-    # the CLI module loads no numpy, and the oracles run with it unimportable
+    # the CLI module loads no numpy, and the verifier runs with it unimportable
     code = """
 import sys
 import taxiconics.cli
 assert "numpy" not in sys.modules
 sys.modules["numpy"] = None
-from taxiconics import cone_from_raw, point3, rat
-from taxiconics.oracle import OracleConfig, numeric_dist_to_line, numeric_dist_to_plane, verify_cone
+from taxiconics import cone_from_raw, rat
+from taxiconics.oracle import OracleConfig, verify_cone
 cone = cone_from_raw((rat(2, 3), rat(1, 5), 1), (rat(9, 10), rat(9, 10), 1), 1)
 assert verify_cone(cone, OracleConfig(grid_n=11))["passed"]
-assert abs(numeric_dist_to_line(point3(0, 0, 1), (3, 1, 0)) - 1.0) < 1e-9
-assert abs(numeric_dist_to_plane(point3(rat(9, 10), rat(9, 10), 1), (rat(2, 3), rat(1, 5), 1)) - 1.78) < 1e-7
 """
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
@@ -81,43 +82,125 @@ assert abs(numeric_dist_to_plane(point3(rat(9, 10), rat(9, 10), 1), (rat(2, 3), 
     assert result.returncode == 0, result.stderr
 
 
-def test_vertex_bisection_fig8():
+def _on_reference_line(cone, i, t) -> Point2:
+    q, (r1, r2) = _ref_param(cone.line, i)
+    return Point2(q.x1 + t * r1, q.x2 + t * r2)
+
+
+def active_roots(cone) -> dict:
+    """reference_roots on each active rho^i."""
+    return {i: reference_roots(cone, i) for i in active_indices(cone.line)}
+
+
+def vertex_roots(cone) -> dict:
+    """What active_roots must be: on each active rho^i the sorted parameters
+    t of the section's finite vertices there, and no zero interval."""
+    finite = [v for v in build_section(cone).vertices if v.location.is_finite]
+    return {i: (sorted(_vertex_parameter(cone, v) for v in finite if v.ref_index == i), False)
+            for i in active_indices(cone.line)}
+
+
+def test_reference_roots_fig8():
     cone = cone_from_raw(*FIG8)
-    root = vertex_bisection(cone, 1, (-5, rat(3, 2)))
-    assert abs(root - (-0.45)) < 1e-9
+    # v1- is at infinity: rho^1 has one root
+    assert active_roots(cone) == vertex_roots(cone) == {
+        1: ([rat(-9, 20)], False),
+        2: ([rat(-25, 14), rat(15, 2)], False),
+        3: ([rat(-10, 3), rat(-10, 29)], False),
+    }
 
 
-def test_vertex_bisection_fig11_roots():
+def test_reference_roots_fig11():
+    # a horizontal defining line has only rho^3, through the origin
     cone = cone_from_raw(*FIG11)
-    roots = scan_reference_roots(cone, 3, window=(-4, 4), steps=801)
-    expected = sorted([-12 / 11, 0.0])
-    assert len(roots) == 2
-    for got, want in zip(sorted(roots), expected):
-        assert abs(got - want) < 1e-9
+    assert active_roots(cone) == vertex_roots(cone) == {3: ([rat(-12, 11), rat(0)], False)}
 
 
-def test_bisection_requires_sign_change():
+def test_no_extra_roots_on_active_lines(cone_family):
+    # the exact roots on every active rho^i are its finite vertices, with no
+    # zero interval, on the family's horizontal lines and vertices at
+    # infinity too
+    cones = [cone_from_raw(*s) for s in ACCEPTANCE_CONES] + cone_family
+    assert any(c.line.is_horizontal for c in cones)
+    for cone in cones:
+        assert active_roots(cone) == vertex_roots(cone), cone
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.tuples(rationals, rationals, st.sampled_from([0, 1])),
+    st.tuples(rationals, rationals, st.sampled_from([0, 1])),
+    st.builds(rat, st.integers(1, 12), st.integers(1, 6)),
+)
+def test_reference_roots_are_the_finite_vertices_hypothesis(plane, line, kappa):
+    try:
+        cone = cone_from_raw(plane, line, kappa)
+    except (DegenerateCone, ZeroVector):
+        assume(False)
+    roots = active_roots(cone)
+    assert roots == vertex_roots(cone)
+    for i, (ts, _) in roots.items():
+        for t in ts:
+            assert reference_residual(cone, _on_reference_line(cone, i, t)) == 0
+
+
+def test_reference_roots_on_a_constant_residual():
+    # no form varies along rho^1: the residual is constant there, and zero
+    # either nowhere or all along it
     cone = cone_from_raw(*FIG8)
-    with pytest.raises(NoSignChange):
-        vertex_bisection(cone, 1, (10, 11))
+    for plane, expected in [((0, 0, 2), ([], False)), ((0, 0, 1), ([], True))]:
+        vars(cone)["residual_form"] = dataclasses.replace(
+            cone.residual_form, terms=(((0, 0, 1), (0, 0, 0)),), plane=plane)
+        assert reference_roots(cone, 1) == expected
 
 
-def test_no_extra_roots_on_active_lines():
-    from taxiconics.sections import active_indices, vertex_slot
-    from taxiconics.oracle import _vertex_parameter
-    from taxiconics.sections import Vertex
+def test_verify_cone_reports_a_dropped_vertex(monkeypatch):
+    import taxiconics.oracle as oracle
 
-    cone = cone_from_raw(*FIG8)
-    for idx in active_indices(cone.line):
-        finite_params = []
-        for s in (1, -1):
-            loc = vertex_slot(cone, idx, s)
-            if loc.is_finite:
-                finite_params.append(float(_vertex_parameter(cone, Vertex(idx, s, loc))))
-        roots = scan_reference_roots(cone, idx, window=(-30, 30), steps=3001)
-        assert len(roots) == len(finite_params)
-        for got, want in zip(sorted(roots), sorted(finite_params)):
-            assert abs(got - want) < 1e-8
+    dropped = 0
+    for raw in (FIG8, FIG11):
+        cone = cone_from_raw(*raw)
+        section = build_section(cone)
+        for v in section.vertices:
+            if not v.location.is_finite:
+                continue
+            broken = dataclasses.replace(section, vertices=[w for w in section.vertices if w is not v])
+            monkeypatch.setattr(oracle, "build_section", lambda c: broken)
+            report = verify_cone(cone, OracleConfig(grid_n=3))
+            assert len(report["violations"]) == 1
+            assert report["violations"][0].startswith("roots t = [")
+            assert f"on rho^{v.ref_index} are not its finite vertices" in report["violations"][0]
+            dropped += 1
+    assert dropped == 7
+
+
+def flipped_forms(form):
+    """form with one coefficient of one term form negated, for each term
+    form with two or more nonzero coefficients (with one, |T| is unchanged)."""
+    for k, pair in enumerate(form.terms):
+        for m, t in enumerate(pair):
+            if sum(c != 0 for c in t) < 2:
+                continue
+            for j in (j for j in range(3) if t[j]):
+                terms = [list(p) for p in form.terms]
+                terms[k][m] = tuple(-c if n == j else c for n, c in enumerate(t))
+                yield dataclasses.replace(form, terms=tuple(map(tuple, terms)))
+
+
+def test_reference_roots_see_a_flipped_term():
+    # a flipped coefficient moves that term's zero line, and the roots then
+    # miss the vertices: the verifier reports the mismatch
+    flips = 0
+    for spec in ACCEPTANCE_CONES:
+        cone = cone_from_raw(*spec)
+        expected = vertex_roots(cone)
+        for form in flipped_forms(cone.residual_form):
+            vars(cone)["residual_form"] = form
+            assert active_roots(cone) != expected, (spec, form)
+            report = verify_cone(cone, OracleConfig(grid_n=3))
+            assert any(v.startswith("roots t = [") for v in report["violations"])
+            flips += 1
+    assert flips > 90
 
 
 def test_grid_scan_unit_circle():
@@ -204,7 +287,7 @@ def test_grid_scan_zero_coverage_acceptance_cones(spec):
 
 
 def test_verify_bisects_every_finite_vertex(cone_family):
-    # grid_n=3 keeps the grid scan negligible; the bisection does not use it
+    # grid_n=3 keeps the grid scan negligible; the root check does not use it
     cfg = OracleConfig(grid_n=3)
     for cone in cone_family[:200]:
         report = verify_cone(cone, cfg)
@@ -326,8 +409,6 @@ def test_grid_scan_kernel_fixed_seeds(cone_family):
         assert_scan_matches_reference(cone, bbox, n=rng.choice([3, 5, 9, 11]))
     assert kinds == {"dominant", "transitionally_dominant", "none"}
 
-
-rationals = st.builds(rat, st.integers(-12, 12), st.integers(1, 6))
 
 
 @st.composite

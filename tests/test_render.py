@@ -2,6 +2,7 @@
 against a per-cell reference on rectangular rasters."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,12 @@ def test_render_section_rejects_width_below_one(width):
 @pytest.mark.parametrize("rows", [[], [""], ["", ""], ["EP", "E"], ["E", "EP"], ["EPH", "", "EPH"]])
 def test_render_raster_rejects_empty_or_ragged_rows(rows):
     with pytest.raises(ValueError, match="rows of one nonzero length"):
+        render_raster(rows, ("-2", "-2", "2", "2"))
+
+
+@pytest.mark.parametrize("rows, unknown", [(["EX"], "X"), (["EP", "He"], "e"), (["E?", "Z!"], "!, ?, Z")])
+def test_render_raster_rejects_unknown_letters(rows, unknown):
+    with pytest.raises(ValueError, match=f"must be E, P, H or D, got {re.escape(unknown)}$"):
         render_raster(rows, ("-2", "-2", "2", "2"))
 
 

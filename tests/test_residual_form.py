@@ -1,7 +1,6 @@
 """cone.residual_form against the Fraction reference d(x, ell) - kappa d(x, P).
 
-exact_residual, the grid scan and the bisection's exact sign all read the
-form; reference_residual (conftest) computes the two distances with
+exact_residual, the grid scan and reference_roots all read the form; reference_residual (conftest) computes the two distances with
 metric.dist_to_line and metric.dist_to_plane instead.
 """
 
@@ -13,19 +12,17 @@ from hypothesis import strategies as st
 
 import taxiconics.cones as cones_module
 from taxiconics import build_section, cone_from_raw, cone_to_json, point2, point3, rat
-from taxiconics._rat import Rat, sign
+from taxiconics._rat import Rat
 from taxiconics.cones import reference_directions
 from taxiconics.errors import DegenerateCone, ZeroVector
 from taxiconics.geometry import Point2
 from taxiconics.metric import wedge_index
 from taxiconics.oracle import (
     OracleConfig,
-    _g_along_ref,
-    _ref_param,
     exact_residual,
+    reference_roots,
     sample_piece_points,
     verify_cone,
-    vertex_bisection,
 )
 
 from conftest import (
@@ -36,12 +33,7 @@ from conftest import (
     reference_residual,
     rnd_rat,
 )
-from test_oracle import ACCEPTANCE_CONES, FIG8
-
-
-def _on_reference_line(cone, i, t) -> Point2:
-    q, (r1, r2) = _ref_param(cone.line, i)
-    return Point2(q.x1 + t * r1, q.x2 + t * r2)
+from test_oracle import ACCEPTANCE_CONES, FIG8, _on_reference_line
 
 
 def _tie_points(cone, rng, count=2):
@@ -129,17 +121,21 @@ def test_form_matches_reference_on_horizontal_lines_and_vertical_planes():
     _assert_form_matches_reference(horizontal + vertical, 6)
 
 
-def test_exact_sign_matches_reference_at_float_parameters(cone_family):
-    # a float t is the dyadic rational Rat(t); q + t r_i is then exact
-    rng = random.Random(7)
+def test_reference_roots_match_the_reference_residual(cone_family):
+    # on every defined rho^i, active or not: the reference residual is zero
+    # at each root, and nonzero between roots and beyond the last ones
     nonzero = 0
     for cone in cone_family[:300] + [cone_from_raw(*s) for s in ACCEPTANCE_CONES]:
         for i in reference_directions(cone.line):
-            g = _g_along_ref(cone, i)
-            for t in [rng.uniform(-8, 8) for _ in range(4)] + [rng.randrange(-64, 64) / 16]:
-                expected = sign(reference_residual(cone, _on_reference_line(cone, i, Rat(t))))
-                assert g(t) == expected, (cone_to_json(cone), i, t)
-                nonzero += expected != 0
+            roots, interval = reference_roots(cone, i)
+            assert not interval, (cone_to_json(cone), i)
+            for t in roots:
+                assert reference_residual(cone, _on_reference_line(cone, i, t)) == 0
+            ends = [roots[0] - 1, *roots, roots[-1] + 1] if roots else [Rat(0)]
+            for t in [(u + v) / 2 for u, v in zip(ends, ends[1:])] + ends[:1] + ends[-1:]:
+                if t not in roots:
+                    assert reference_residual(cone, _on_reference_line(cone, i, t)) != 0
+                    nonzero += 1
     assert nonzero > 1000
 
 
@@ -163,8 +159,8 @@ def test_form_matches_reference_hypothesis(plane, line, kappa, points, t):
         p = Point2(x, y)
         assert exact_residual(cone, p) == reference_residual(cone, p)
     for i in reference_directions(cone.line):
-        expected = reference_residual(cone, _on_reference_line(cone, i, Rat(t)))
-        assert _g_along_ref(cone, i)(t) == sign(expected)
+        p = _on_reference_line(cone, i, Rat(t))
+        assert exact_residual(cone, p) == reference_residual(cone, p)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +204,10 @@ def test_the_memo_leaves_the_cone_value_unchanged():
     assert cone == twin and hash(cone) == hash(twin) and repr(cone) == repr(twin)
 
 
-def test_vertex_bisection_returns_an_endpoint_that_is_an_exact_root():
-    # v1+ and v1- lie on rho^1 at t = -13/8 and -9/8, 1/2 apart, so the
-    # +-1/2 bracket around one ends on the other.  The difference of the two
-    # rounded float distances there is 5.6e-17 and 2.8e-17, not 0, so the
-    # float bisection saw no sign change; the exact sign is 0.
+def test_reference_roots_separate_vertices_half_apart():
+    # v1+ and v1- lie on rho^1 at t = -13/8 and -9/8, 1/2 apart: a bracket
+    # of +-1/2 around one ends on the other, and no bracket is needed here
     cone = cone_from_raw((1, rat(3, 4), 1), (rat(-4, 3), rat(-3, 2), 1), rat(1, 6))
     params = {v.label: v.location.point.x1 for v in build_section(cone).vertices if v.ref_index == 1}
     assert params == {"v1+": rat(-13, 8), "v1-": rat(-9, 8)}
-    assert vertex_bisection(cone, 1, (-1.625, -0.625)) == -1.625
-    assert vertex_bisection(cone, 1, (-2.125, -1.125)) == -1.125
+    assert reference_roots(cone, 1) == ([rat(-13, 8), rat(-9, 8)], False)
