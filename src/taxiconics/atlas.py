@@ -20,8 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from ._rat import as_integers, rat, rat_str
-from .cones import PlaneParams
-from .errors import NonPositiveKappa
+from .cones import PlaneParams, positive_kappa
 from .sections import ELLIPSE, HYPERBOLA, PARABOLA
 
 DEFAULT_BBOX = ("-2", "-2", "2", "2")
@@ -55,9 +54,7 @@ def grid_axes(bbox, n: int) -> tuple[list[int], list[int], int]:
 
 def _kappa_terms(kappa) -> tuple[int, int]:
     """Numerator and denominator of kappa, which must be positive."""
-    kappa = rat(kappa)
-    if kappa <= 0:
-        raise NonPositiveKappa(f"kappa must be positive, got {rat_str(kappa)}")
+    kappa = positive_kappa(kappa)
     return int(kappa.numerator), int(kappa.denominator)
 
 

@@ -158,11 +158,16 @@ def normalize_line(raw) -> LineParams:
     return LineParams(a1, a2, a3, dom, klass)
 
 
-def make_cone(plane: PlaneParams, line: LineParams, kappa) -> ConeSpec:
+def positive_kappa(kappa) -> Rat:
+    """kappa as a Rat; NonPositiveKappa unless it is positive."""
     kappa = rat(kappa)
     if kappa <= 0:
         raise NonPositiveKappa(f"kappa must be positive, got {rat_str(kappa)}")
-    cone = ConeSpec(plane, line, kappa)
+    return kappa
+
+
+def make_cone(plane: PlaneParams, line: LineParams, kappa) -> ConeSpec:
+    cone = ConeSpec(plane, line, positive_kappa(kappa))
     if cone.incidence == 0:
         raise DegenerateCone(
             f"line {line.to_json()} lies in plane {plane.to_json()}"

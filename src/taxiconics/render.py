@@ -12,7 +12,7 @@ from itertools import groupby
 from typing import Optional
 
 from ._rat import as_integers, rat
-from .atlas import _kappa_terms
+from .cones import positive_kappa
 from .geometry import Line2, Point2, Segment, clip_interval, padded_box, point_on_line
 from .sections import ConicSection, finite_points
 
@@ -183,8 +183,7 @@ def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
             start = stop
         body.append((_fmt((n_rows - 1 - iy) * cell_h) + size).join(parts))
     if kappa is not None:
-        kp, kq = _kappa_terms(kappa)
-        k = kp / kq
+        k = float(positive_kappa(kappa))
         style = _DEFAULT_STYLES["ukappa_boundary"]
 
         def circle(cx, cy, r):

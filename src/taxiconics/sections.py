@@ -9,7 +9,9 @@ rules: a segment for each adjacent pair of finite vertices, two
 complementary rays for each anti-adjacent pair, and a ray parallel to the
 reference line of each vertex at infinity, from each finite vertex adjacent
 to it.  The relations come from the angular order of the active reference
-rays around a and the sides of the trace line P^S.
+rays around a and the sides of the trace line P^S, and both are signs: the
+vertex a + t r_i of slot (i, s) lies on the ray sign(t) r_i, and since
+A.v + delta = t s M/kappa its side of P^S is s sign(t) (see _relations).
 
 The auxiliary points are where P^S meets fixed lines: through a along
 r_i -/+ r_j for each pair of reference directions, or, for a horizontal
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ._rat import rat, rats
+from ._rat import rat, rats, sign
 from .cones import (
     INSIDE,
     OUTSIDE,
@@ -51,8 +53,6 @@ from .geometry import (
     Ray,
     Segment,
     piece_sort_key,
-    primitive_direction,
-    side_of_line,
 )
 
 ELLIPSE = "ellipse"
@@ -145,18 +145,9 @@ def vertex_slot(cone: ConeSpec, index: int, sgn: int) -> ExtendedPoint:
     return ExtendedPoint.finite(Point2(line.a1 + t * r1, line.a2 + t * r2))
 
 
-def vertices(cone: ConeSpec, include_inactive: bool = False) -> list[Vertex]:
-    """Section vertices on active reference lines, plus-sign slots first.
-
-    include_inactive also reports the formula values on inactive reference
-    lines (which are not on the section); intended for verification.
-    """
-    active = active_indices(cone.line)
-    return [
-        Vertex(i, s, vertex_slot(cone, i, s))
-        for i in reference_directions(cone.line) if include_inactive or i in active
-        for s in _SIGNS
-    ]
+def vertices(cone: ConeSpec) -> list[Vertex]:
+    """Section vertices on the active reference lines, plus-sign slots first."""
+    return [Vertex(i, s, vertex_slot(cone, i, s)) for i in active_indices(cone.line) for s in _SIGNS]
 
 
 def _slot_map(verts: list[Vertex]) -> dict[tuple[int, int], ExtendedPoint]:
@@ -211,8 +202,7 @@ def auxiliary_points(cone: ConeSpec, relations=None) -> list[AuxPoint]:
     if single is None:
         # no dominance: all three reference lines are active
         if relations is None:
-            slots = _slot_map(vertices(cone))
-            relations, _ = _relations(line, slots, _sorted_active_rays(line), trace_line_PS(plane))
+            relations, _ = _relations(line, _slot_map(vertices(cone)))
         related = {frozenset(key) for key, _ in relations}
     refs = reference_directions(line)
     indices = list(refs)
@@ -234,75 +224,80 @@ def auxiliary_points(cone: ConeSpec, relations=None) -> list[AuxPoint]:
 # connect-the-dots pieces and adjacency
 
 
-def _angle_key(d: Point2):
-    """Exact angle order in [0, 2 pi): x/(|x| + |y|) falls from 1 to -1 over
-    the upper half-turn and rises back over the lower one."""
-    x = d.x1 / (abs(d.x1) + abs(d.x2))
-    return (0, -x) if d.x2 > 0 or (d.x2 == 0 and d.x1 > 0) else (1, x)
+def _angle_key(x1, x2):
+    """Exact angle order of the direction (x1, x2) in [0, 2 pi): x1/(|x1| + |x2|)
+    falls from 1 to -1 over the upper half-turn and rises back over the lower
+    one."""
+    x = rat(x1) / (abs(x1) + abs(x2))
+    return (0, -x) if x2 > 0 or (x2 == 0 and x1 > 0) else (1, x)
 
 
-def _sorted_active_rays(line: LineParams) -> list[tuple[int, Point2]]:
-    """Active reference rays around a, sorted by exact angle."""
+def _sorted_active_rays(line: LineParams) -> list[tuple[int, int]]:
+    """Active reference rays (i, u), the ray u r_i from a with u = +-1, sorted
+    by exact angle.  The opposite of (i, u) is (i, -u)."""
     refs = reference_directions(line)
-    rays = []
-    for i in active_indices(line):
-        d = primitive_direction(*refs[i])
-        rays.append((i, d))
-        rays.append((i, Point2(-d.x1, -d.x2)))
-    rays.sort(key=lambda ray: _angle_key(ray[1]))
+    rays = [(i, u) for i in active_indices(line) for u in _SIGNS]
+    rays.sort(key=lambda ray: _angle_key(ray[1] * refs[ray[0]][0], ray[1] * refs[ray[0]][1]))
     return rays
 
 
-def _relations(line: LineParams, slots, rays, trace: Optional[Line2]):
-    """Connect-the-dots relations between the vertices of a non-horizontal line.
+def _relations(line: LineParams, slots):
+    """Connect-the-dots relations between the vertices of a non-horizontal
+    line, decided by signs alone.
 
-    slots maps each active (index, sign) slot to its vertex location, rays
-    are _sorted_active_rays(line) and trace is P^S.  Returns (relations, links):
+    slots maps each active (index, sign) slot to its vertex location.  The
+    vertex of slot (i, s) is a + t r_i with t = e/den and
+    den = s M/kappa - A.r_i (vertex_slot), so:
+
+    * it lies on the reference ray (i, tau) with tau = sign(t), read off as
+      the sign of (v - a).r_i;
+    * A.v + delta = e + t A.r_i = t s M/kappa, so its side of P^S is s tau.
+      A horizontal plane has A = 0 and t = s kappa/M: every vertex is on the
+      side of e, and no trace is needed;
+    * it is at infinity when den = 0, that is when A.r_i = s M/kappa.
+
+    Returns (relations, links):
 
     * relations: ((slot, slot), ADJACENT or ANTI_ADJACENT) for finite
       vertices on distinct reference lines.  They are adjacent on one side of
-      the trace with consecutive reference rays around a, and anti-adjacent
-      on opposite sides with one ray consecutive to the other's opposite.  A
-      horizontal plane has no trace: all its vertices count as on one side.
-    * links: ((finite slot, infinite slot), e) when the ray v + t e from a
-      finite vertex v toward the vertex at infinity on rho^i is a piece.  e
-      is rho^i's direction oriented away from the trace (v is never on it,
-      and A1 d1 + A2 d2 != 0), and v's reference ray and rho^i's ray along e
-      must be consecutive.
+      P^S with consecutive reference rays around a, and anti-adjacent on
+      opposite sides with one ray consecutive to the other's opposite.
+    * links: ((finite slot, infinite slot (i, s)), w) when the ray v + t w
+      from a finite vertex v toward the vertex at infinity on rho^i is a
+      piece.  w = u r_i with u = side(v) s, so that A.w = u s M/kappa has the
+      sign of v's side and the ray runs away from P^S; v's reference ray and
+      (i, u) must be consecutive.
     """
-    a_pt = line.point
+    refs = reference_directions(line)
+    rays = _sorted_active_rays(line)
     n = len(rays)
     ray_pos = {ray: k for k, ray in enumerate(rays)}
 
-    def consecutive(p1, p2):
-        return (p1 - p2) % n in (1, n - 1)
+    def consecutive(ray1, ray2):
+        return (ray_pos[ray1] - ray_pos[ray2]) % n in (1, n - 1)
 
-    finite = {key: ep.point for key, ep in slots.items() if ep.is_finite}
-    pos = {
-        key: ray_pos[(key[0], primitive_direction(p.x1 - a_pt.x1, p.x2 - a_pt.x2))]
-        for key, p in finite.items()
-    }
+    tau = {}
+    for (i, s), ep in slots.items():
+        if ep.is_finite:
+            p, (r1, r2) = ep.point, refs[i]
+            tau[(i, s)] = sign((p.x1 - line.a1) * r1 + (p.x2 - line.a2) * r2)
     relations = []
-    keys = sorted(finite)
+    keys = sorted(tau)
     for ai, k1 in enumerate(keys):
         for k2 in keys[ai + 1:]:
             if k1[0] == k2[0]:
                 continue
-            same = trace is None or side_of_line(trace, finite[k1]) == side_of_line(trace, finite[k2])
-            if same and consecutive(pos[k1], pos[k2]):
-                relations.append(((k1, k2), ADJACENT))
-            elif not same and consecutive(pos[k1], (pos[k2] + n // 2) % n):
-                relations.append(((k1, k2), ANTI_ADJACENT))
+            same = k1[1] * tau[k1] == k2[1] * tau[k2]
+            if consecutive((k1[0], tau[k1]), (k2[0], tau[k2] if same else -tau[k2])):
+                relations.append(((k1, k2), ADJACENT if same else ANTI_ADJACENT))
     links = []
-    for inf_key, ep in slots.items():
+    for (i, s), ep in slots.items():
         if ep.is_finite:
             continue
-        d = ep.direction
-        outward = trace.c1 * d.x1 + trace.c2 * d.x2 > 0
-        for key, p in finite.items():
-            e = d if (trace.value_at(p) > 0) == outward else Point2(-d.x1, -d.x2)
-            if consecutive(pos[key], ray_pos[(inf_key[0], e)]):
-                links.append(((key, inf_key), e))
+        for key, t in tau.items():
+            u = key[1] * t * s
+            if consecutive((key[0], t), (i, u)):
+                links.append(((key, (i, s)), (u * refs[i][0], u * refs[i][1])))
     return relations, links
 
 
@@ -318,8 +313,8 @@ def _connect_the_dots(slots, relations, links) -> list[Piece]:
         else:
             pieces.add(Ray.of(p, p.x1 - q.x1, p.x2 - q.x2))
             pieces.add(Ray.of(q, q.x1 - p.x1, q.x2 - p.x2))
-    for (key, _), e in links:
-        pieces.add(Ray.of(slots[key].point, e.x1, e.x2))
+    for (key, _), (w1, w2) in links:
+        pieces.add(Ray.of(slots[key].point, w1, w2))
     return sorted(pieces, key=piece_sort_key)
 
 
@@ -349,8 +344,7 @@ def adjacency(cone: ConeSpec):
         return []
     verts = vertices(cone)
     by_slot = {(v.ref_index, v.sign): v for v in verts}
-    rays, trace = _sorted_active_rays(line), trace_line_PS(cone.plane)
-    relations, links = _relations(line, _slot_map(verts), rays, trace)
+    relations, links = _relations(line, _slot_map(verts))
     out = [(by_slot[k1], by_slot[k2], rel) for (k1, k2), rel in relations]
     for k1, k2 in sorted(key for key, _ in links):
         out.append((by_slot[k1], by_slot[k2], ADJACENT))
@@ -387,10 +381,10 @@ def classify(cone: ConeSpec) -> str:
 def build_section(cone: ConeSpec) -> ConicSection:
     """Construct the full conic section of a valid cone by connect-the-dots.
 
-    The vertices, the sorted active reference rays, the trace P^S and the
-    vertex relations are computed once; the relations give both the
-    activity of the auxiliary points and the pieces.  A horizontal defining
-    line instead takes its four rays from the auxiliary points.
+    The vertices, the trace P^S and the vertex relations are computed once;
+    the relations give both the activity of the auxiliary points and the
+    pieces.  A horizontal defining line instead takes its four rays from the
+    auxiliary points.
     """
     line = cone.line
     verts = vertices(cone)
@@ -400,7 +394,7 @@ def build_section(cone: ConeSpec) -> ConicSection:
         pieces = _construct_horizontal(verts, aux)
     else:
         slots = _slot_map(verts)
-        relations, links = _relations(line, slots, _sorted_active_rays(line), trace)
+        relations, links = _relations(line, slots)
         aux = [] if trace is None else auxiliary_points(cone, relations)
         pieces = _connect_the_dots(slots, relations, links)
     return ConicSection(

@@ -18,6 +18,7 @@ from .cones import (
     make_cone,
     normalize_line,
     normalize_plane,
+    positive_kappa,
 )
 from .errors import (
     HorizontalLineWithHorizontalPlane,
@@ -79,7 +80,7 @@ def u_kappa_position(kappa, p: Point2) -> str:
     decided exactly; the radius 1/sqrt(kappa) only enters as the squared
     value 1/kappa.
     """
-    kappa = rat(kappa)
+    kappa = positive_kappa(kappa)
     x, y = p.x1, p.x2
     rr = x * x + y * y
     if kappa >= 1:
@@ -193,7 +194,7 @@ def parallel_plane_kappa(plane_a: PlaneParams, plane_b: PlaneParams, kappa_a) ->
     plane of the pencil, which collapses to kappa_B = kappa_A*|c|*M_B/M_A
     where (A1, A2) = c*(B1, B2).
     """
-    kappa_a = rat(kappa_a)
+    kappa_a = positive_kappa(kappa_a)
     for plane in (plane_a, plane_b):
         if plane.is_horizontal:
             raise HorizontalPlane("similarity pencil needs non-horizontal planes")
@@ -223,9 +224,7 @@ def taxicab_dist_to_line_2d(p: Point2, g: Line2) -> Rat:
 
 def focus_directrix_residual(focus: Point2, directrix: Line2, kappa, p: Point2) -> Rat:
     """d(p, focus) - kappa * d(p, directrix) with 2-D taxicab distances."""
-    kappa = rat(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    kappa = positive_kappa(kappa)
     return taxicab_dist_2d(p, focus) - kappa * taxicab_dist_to_line_2d(p, directrix)
 
 

@@ -5,8 +5,9 @@ Small parameters make the exact equalities that the classification turns
 on common: parabolas, vertices at infinity and transitional lines are each
 a tenth or more of the census, against a few percent of the random
 families.  On every census cone the pieces equal their rebuild from the
-residual form, their topology is the class, and the exact roots on each
-active reference line are its finite vertices.
+residual form, their topology is the class, the exact roots on each
+active reference line are its finite vertices, and the vertex relations
+equal their geometric reference.
 
 Tier-1 checks a fixed-stride slice.  Run the whole census, which prints its
 counts, before any change to the construction or the verifier:
@@ -25,6 +26,8 @@ from taxiconics import build_section, cone_from_raw, cone_to_json, rat, section_
 from taxiconics.cones import active_indices
 from taxiconics.errors import DegenerateCone, ZeroVector
 from taxiconics.oracle import _rebuild_pieces, _vertex_parameter, reference_roots
+
+from relations_reference import relations_agree
 
 VALUES = [rat(0)] + [s * rat(v) for v in ("1/2", "1", "2") for s in (1, -1)]
 KAPPAS = [rat(1, 2), rat(1), rat(2)]
@@ -58,7 +61,8 @@ def census_cones(stride: int = 1, rejected: Counter | None = None) -> list:
 
 
 def census_failures(cone, section) -> tuple:
-    """The checks the section of cone fails: rebuild, topology, roots on rho^i."""
+    """The checks the section of cone fails: rebuild, topology, roots on
+    rho^i, relations."""
     failed = []
     if section.pieces != _rebuild_pieces(cone):
         failed.append("rebuild")
@@ -73,6 +77,8 @@ def census_failures(cone, section) -> tuple:
                         if v.location.is_finite and v.ref_index == i)
         if reference_roots(cone, i) != (params, False):
             failed.append(f"roots on rho^{i}")
+    if not cone.line.is_horizontal and not relations_agree(cone, section.vertices):
+        failed.append("relations")
     return tuple(failed)
 
 

@@ -13,12 +13,13 @@ from taxiconics import (
     normalize_plane,
     point2,
     rat,
+    rat_str,
     reference_lines,
     side_of_line,
     strip_position,
     trace_line_PS,
 )
-from taxiconics.cones import BOUNDARY, INSIDE, OUTSIDE
+from taxiconics.cones import BOUNDARY, INSIDE, OUTSIDE, positive_kappa
 from taxiconics.errors import DegenerateCone, NonPositiveKappa, ZeroVector
 
 from conftest import random_cone, rnd_rat
@@ -78,6 +79,15 @@ def test_make_cone_examples():
     cone_from_raw((rat(1, 2), rat(1, 3), 1), (3, 1, 0), 1)
     with pytest.raises(NonPositiveKappa):
         cone_from_raw((1, 0, 1), (0, 0, 1), 0)
+
+
+@pytest.mark.parametrize("kappa", ["-1", "0", -2, rat(-1, 3)])
+def test_positive_kappa_is_the_one_kappa_rule(kappa):
+    assert positive_kappa("3/2") == rat(3, 2)
+    with pytest.raises(NonPositiveKappa, match=f"kappa must be positive, got {rat_str(rat(kappa))}$"):
+        positive_kappa(kappa)
+    with pytest.raises(NonPositiveKappa, match="kappa must be positive"):
+        cone_from_raw((1, 0, 1), (0, 0, 1), kappa)
 
 
 def test_degeneracy_matches_trace_incidence():

@@ -24,8 +24,9 @@ from taxiconics import (
     trace_line_PS,
     vertices,
 )
+from taxiconics._rat import sign
 from taxiconics.errors import DegenerateCone, HorizontalPlane, ZeroVector
-from taxiconics.cones import active_partial_pair
+from taxiconics.cones import active_partial_pair, reference_directions
 from taxiconics.geometry import (
     Line2,
     Point2,
@@ -36,9 +37,10 @@ from taxiconics.geometry import (
     projective_direction,
 )
 from taxiconics.oracle import _rebuild_pieces, exact_residual, sample_piece_points
-from taxiconics.sections import ADJACENT, ANTI_ADJACENT, _relations, _sorted_active_rays, vertex_slot
+from taxiconics.sections import ADJACENT, ANTI_ADJACENT, _relations, vertex_slot
 
 from conftest import random_cone, random_cones, random_vertex_at_infinity_cones
+from relations_reference import relations_agree
 
 FIG8 = ((rat(1, 2), rat(1, 5), 1), (rat(3, 2), 1, 1), 2)
 FIG11 = ((rat(1, 2), rat(1, 3), 1), (3, 1, 0), 1)
@@ -204,10 +206,10 @@ def check_aux_on_vertex_pair_lines(cone):
         for label, base in (("I+", (0, -1)), ("I-", (0, 1)), ("II+", (-1, 0)), ("II-", (1, 0))):
             assert cross(aux[label].location.point - point2(*base), a) == 0
         return aux.values(), 4
-    slots = slot_map(vertices(cone, include_inactive=True))
+    slots = {(i, s): vertex_slot(cone, i, s) for i in reference_directions(line) for s in (1, -1)}
     single = active_partial_pair(line)
     active_slots = slot_map(vertices(cone))
-    relations, _ = _relations(line, active_slots, _sorted_active_rays(line), trace_line_PS(cone.plane))
+    relations, _ = _relations(line, active_slots)
     related = {frozenset(key) for key, _ in relations}
     n_lines = 0
     for point in aux.values():
@@ -239,6 +241,56 @@ def test_aux_points_on_vertex_pair_lines(cone_family):
         horizontal += cone.line.is_horizontal
         at_infinity += any(not a.location.is_finite for a in aux)
     assert checked > 1900 and lines > 10 * checked and horizontal > 50 and at_infinity > 20
+
+
+def test_vertex_sign_identities():
+    # v^{i s} = a + t r_i with t = e/den and den = s M/kappa - A.r_i, so
+    # A.v + delta = t s M/kappa: the side of P^S is s sign(t).  A vertex at
+    # infinity has den = 0, that is A.r_i = s M/kappa
+    finite = at_infinity = horizontal_planes = 0
+    for cone in random_cones(2000, seed=20240811) + random_vertex_at_infinity_cones(1000, seed=20240811):
+        plane, line = cone.plane, cone.line
+        if line.is_horizontal:
+            continue
+        mk = plane.M / cone.kappa
+        trace = trace_line_PS(plane)
+        refs = reference_directions(line)
+        for v in vertices(cone):
+            (r1, r2), s = refs[v.ref_index], v.sign
+            a_r = plane.A1 * r1 + plane.A2 * r2
+            if not v.location.is_finite:
+                assert a_r == s * mk
+                at_infinity += 1
+                continue
+            t = cone.incidence / (s * mk - a_r)
+            p = v.location.point
+            assert p == point2(line.a1 + t * r1, line.a2 + t * r2)
+            assert plane.A1 * p.x1 + plane.A2 * p.x2 + plane.delta == t * s * mk
+            if trace is None:
+                assert s * sign(t) == 1
+                horizontal_planes += 1
+            else:
+                # trace_line_PS fixes the sign of its form: orient is +1 when
+                # it keeps A1 x1 + A2 x2 + delta, -1 when it negates it
+                orient = sign(trace.c1 * plane.A1 + trace.c2 * plane.A2)
+                assert side_of_line(trace, p) == orient * s * sign(t)
+            finite += 1
+    assert finite > 10000 and at_infinity > 1000 and horizontal_planes > 500
+
+
+def test_relations_equal_geometric_reference():
+    checked = horizontal_planes = at_infinity = 0
+    for cones in (random_cones(2000, seed=20240811), random_vertex_at_infinity_cones(1000, seed=20240811),
+                  random_cones(2000, seed=1)):
+        for cone in cones:
+            if cone.line.is_horizontal:
+                continue
+            verts = vertices(cone)
+            assert relations_agree(cone, verts)
+            checked += 1
+            horizontal_planes += cone.plane.is_horizontal
+            at_infinity += any(not v.location.is_finite for v in verts)
+    assert checked == 4527 and horizontal_planes > 300 and at_infinity > 1000
 
 
 def test_adjacency_unit_circle():
@@ -430,6 +482,8 @@ def test_construction_agrees_with_sector_solver_hypothesis(A1, A2, delta, a1, a2
     except DegenerateCone:
         assume(False)
     assert _rebuild_pieces(cone) == build_section(cone).pieces
+    if not line.is_horizontal:
+        assert relations_agree(cone, vertices(cone))
 
 
 @settings(deadline=None, max_examples=150)
@@ -496,11 +550,12 @@ def test_inactive_slots_are_reported_only_on_request():
     cone = cone_from_raw((rat(1, 2), rat(1, 5), 1), (rat(1, 4), rat(1, 4), 1), 2)
     assert cone.line.klass == "steep"
     assert {v.ref_index for v in vertices(cone)} == {1, 2}
-    assert {v.ref_index for v in vertices(cone, include_inactive=True)} == {1, 2, 3}
-    # inactive formula values are not on the section
-    for v in vertices(cone, include_inactive=True):
-        if v.ref_index == 3 and v.location.is_finite:
-            assert exact_residual(cone, v.location.point) != 0
+    # rho^3 is defined but inactive: vertex_slot gives its formula values,
+    # which are not on the section
+    for s in (1, -1):
+        location = vertex_slot(cone, 3, s)
+        assert location.is_finite
+        assert exact_residual(cone, location.point) != 0
 
 
 def test_no_transitional_warnings_for_valid_cones():

@@ -23,6 +23,7 @@ from taxiconics import (
 from taxiconics.cones import BOUNDARY, INSIDE, OUTSIDE
 from taxiconics.errors import (
     HorizontalLineWithHorizontalPlane,
+    NonPositiveKappa,
     NotParallel,
     NotSteep,
 )
@@ -192,6 +193,18 @@ def test_parallel_plane_similarity_on_sample_line():
                 assert da.x1 == expected * db.x1
             if db.x2 != 0:
                 assert da.x2 == expected * db.x2
+
+
+@pytest.mark.parametrize("kappa", ["-1", "0", -2, rat(-1, 3)])
+def test_special_functions_reject_non_positive_kappa(kappa):
+    # one rule, cones.positive_kappa, with make_cone's error and message
+    message = "kappa must be positive, got "
+    with pytest.raises(NonPositiveKappa, match=message):
+        u_kappa_position(kappa, point2(0, 0))
+    with pytest.raises(NonPositiveKappa, match=message):
+        parallel_plane_kappa(normalize_plane((1, rat(1, 2), 1)), normalize_plane((2, 1, 1)), kappa)
+    with pytest.raises(NonPositiveKappa, match=message):
+        focus_directrix_residual(point2(0, 0), Line2.of(0, 1, 1), kappa, point2(0, 0))
 
 
 def test_focus_directrix_residual_examples():
