@@ -3,22 +3,22 @@
 The checks deliberately avoid the construction's closed forms.  Every
 residual d(x, ell) - kappa d(x, P) is read from the cone's one integer form,
 cone.residual_form (built from the distances, never from sections):
-exact_residual at the vertices and at sampled piece points; the grid scan,
-whose exact zeros on a rational grid must lie on the pieces; the exact roots
-on each active reference line q + t r_i (r_i from
-cones.reference_directions, q on rho^i), which must be the finite vertices
-on it; and the rebuild of the pieces region by region, which clips each zero
-line with geometry.clip_interval, the SVG writer's clipper.  The topology of
-the pieces must match the class.  No check uses floating point; only the
-grid report prints its largest residual off the section as a float.
+exact_residual at the vertices; line_restriction, the form along a line,
+whose exact zeros on each active reference line q + t r_i must be its
+finite vertices and which proves that each piece lies on the cone; the
+grid scan, whose exact zeros on a rational grid must lie on the pieces; and
+the rebuild of the pieces region by region, which clips each zero line with
+geometry.clip_interval, the SVG writer's clipper.  The topology of the
+pieces must match the class.  No check uses floating point or random
+numbers; only the grid report prints its largest residual off the section
+as a float.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
-from typing import Optional
+from typing import Callable, Optional
 
 from ._rat import Rat, as_integers, rat, rat_str, sign
 from .atlas import MAX_GRID, grid_axes
@@ -63,22 +63,17 @@ def _ref_param(line: LineParams, ref_index: int) -> tuple[Point2, tuple]:
     return point_on_line(g.c1, g.c2, g.c0), reference_directions(line)[ref_index]
 
 
-def reference_roots(cone: ConeSpec, ref_index: int) -> tuple[list[Rat], bool]:
-    """Exact roots t of d(x, ell) - kappa d(x, P) at x = q + t r_i on rho^i,
-    and whether it is zero all along some interval.
+def line_restriction(form, q: Point2, r) -> tuple[list[Rat], Callable[[Rat], int]]:
+    """The residual form restricted to the line q + t r: the sorted candidate
+    zeros, and its exact num at t.
 
-    At x = (Q + t R)/e in integers, each term form T of cone.residual_form
-    and its plane form G is an integer line c + s t in t.  Between
-    consecutive zeros of the T, of G, of each S_k -/+ G and of each
-    S_j -/+ S_k (S_k = T_k1 -/+ T_k2) every T and G keeps its sign and the
-    least |T_k1| + |T_k2| its index, so num is linear there.  Its roots are
-    thus among these candidates, and it is zero on an interval iff it is
-    zero at two consecutive probes: the candidates and one point beyond each
-    end, or two points when there is no candidate and num is constant.
+    At x = (Q + t R)/e in integers, each term form T and the plane form G is
+    an integer line c + s t in t.  Between consecutive zeros of the T, of G,
+    of each S_k -/+ G and of each S_j -/+ S_k (S_k = T_k1 -/+ T_k2) every T
+    and G keeps its sign and the least |T_k1| + |T_k2| its index, so num is
+    linear between consecutive candidates.
     """
-    q, r = _ref_param(cone.line, ref_index)
     (q1, q2, r1, r2), e = as_integers((q.x1, q.x2, *r))
-    form = cone.residual_form
 
     def along(c1, c2, c3):
         return c1 * q1 + c2 * q2 + c3 * e, c1 * r1 + c2 * r2
@@ -92,15 +87,38 @@ def reference_roots(cone: ConeSpec, ref_index: int) -> tuple[list[Rat], bool]:
     lines = [t for pair in terms for t in pair] + [g]
     lines += [w for s_k in sums for s in s_k for w in combos(s, g)]
     lines += [w for s_j, s_k in combinations(sums, 2) for a in s_j for b in s_k for w in combos(a, b)]
-    cands = sorted({Rat(-c, s) for c, s in lines if s})
+
+    def num(t: Rat) -> int:
+        return form.num(q1 * t.denominator + t.numerator * r1, q2 * t.denominator + t.numerator * r2,
+                        e * t.denominator)
+
+    return sorted({Rat(-c, s) for c, s in lines if s}), num
+
+
+def reference_roots(cone: ConeSpec, ref_index: int) -> tuple[list[Rat], bool]:
+    """Exact roots t of d(x, ell) - kappa d(x, P) at x = q + t r_i on rho^i,
+    and whether it is zero all along some interval: at two consecutive
+    probes, the candidates of line_restriction and one point beyond each
+    end, or two points when there is none and num is constant."""
+    cands, num = line_restriction(cone.residual_form, *_ref_param(cone.line, ref_index))
     probes = [cands[0] - 1, *cands, cands[-1] + 1] if cands else [Rat(0), Rat(1)]
-    zero = [
-        form.num(q1 * t.denominator + t.numerator * r1, q2 * t.denominator + t.numerator * r2,
-                 e * t.denominator) == 0
-        for t in probes
-    ]
+    zero = [num(t) == 0 for t in probes]
     roots = [t for t, z in zip(probes[1:-1], zero[1:-1]) if z]
     return roots, any(z and w for z, w in zip(zero, zero[1:]))
+
+
+def check_piece(form, piece: Piece) -> tuple[int, list[Point2]]:
+    """The number of probes on piece and the probes off the cone (num != 0).
+
+    num is linear between the candidates of line_restriction, so a segment
+    a + t (b - a) lies on the cone iff num is zero at t = 0, 1 and each
+    candidate between; a ray base + t d iff at 0, each candidate past 0
+    and one past the last."""
+    seg = isinstance(piece, Segment)
+    cands, num = line_restriction(form, *((piece.a, piece.b - piece.a) if seg else (piece.base, piece.direction)))
+    inner = [t for t in cands if 0 < t and (t < 1 or not seg)]
+    probes = [Rat(0), *inner, Rat(1) if seg else (inner or [Rat(0)])[-1] + 1]
+    return len(probes), [piece_point_at(piece, t) for t in probes if num(t)]
 
 
 def exact_residual(cone: ConeSpec, p: Point2) -> Rat:
@@ -264,7 +282,8 @@ def grid_residual_scan(
 
 
 def sample_piece_points(piece, count: int, rng) -> list[Point2]:
-    """Random rational points on a piece (interior parameters)."""
+    """Random rational points on a piece (interior parameters).  No src/
+    code calls it; it stays for the perfbench oracle workload and the tests."""
     out = []
     for _ in range(count):
         num = rng.randrange(1, 1000)
@@ -279,15 +298,14 @@ def sample_piece_points(piece, count: int, rng) -> list[Point2]:
 def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     """Full verification report for one cone.
 
-    Checks vertex exactness, residuals of sampled piece points, the exact
-    roots on each active reference line against its finite vertices (none
-    missed, none extra, no zero interval; "vertices_bisected" counts the
-    vertices so confirmed), the exact-zero coverage of a padded grid scan,
-    the pieces against their rebuild from the residual form (every cone)
-    and the piece topology against the class.  The report's "violations"
+    Checks vertex exactness, each piece by check_piece (its probes are
+    "piece_points_checked"), the exact roots on each active reference line
+    against its finite vertices (none missed, none extra, no zero interval;
+    "vertices_confirmed" counts the vertices so confirmed), the exact-zero
+    coverage of a padded grid scan, the pieces against their rebuild from
+    the residual form and the piece topology against the class.  The report's "violations"
     list must be empty for a pass.
     """
-    rng = random.Random(0)
     section = build_section(cone)
     violations: list[str] = []
 
@@ -296,19 +314,17 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
         if exact_residual(cone, v.location.point) != 0:
             violations.append(f"vertex {v.label} violates the cone equation")
 
-    sampled = 0
+    probes = 0
     for piece in section.pieces:
-        for p in sample_piece_points(piece, 12, rng):
-            sampled += 1
-            if exact_residual(cone, p) != 0:
-                violations.append(
-                    f"piece point ({rat_str(p.x1)}, {rat_str(p.x2)}) has nonzero residual"
-                )
+        count, off = check_piece(cone.residual_form, piece)
+        probes += count
+        violations += [f"piece point ({rat_str(p.x1)}, {rat_str(p.x2)}) has nonzero residual" for p in off]
 
     confirmed = 0
     for i in active_indices(cone.line):
         roots, interval = reference_roots(cone, i)
-        params = sorted(_vertex_parameter(cone, v) for v in finite_vertices if v.ref_index == i)
+        q, r = _ref_param(cone.line, i)
+        params = sorted(_vertex_parameter(q, r, v) for v in finite_vertices if v.ref_index == i)
         if interval:
             violations.append(f"the residual is zero on an interval of rho^{i}")
         elif roots != params:
@@ -335,16 +351,15 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
         "cone": cone_to_json(cone),
         "class": section.klass,
         "vertices_checked": len(finite_vertices),
-        "piece_points_checked": sampled,
-        "vertices_bisected": confirmed,
+        "piece_points_checked": probes,
+        "vertices_confirmed": confirmed,
         "grid": scan.to_json(),
         "violations": violations,
         "passed": not violations,
     }
 
 
-def _vertex_parameter(cone: ConeSpec, v) -> Rat:
-    """Parameter t of a finite vertex at q + t r_i on its reference line."""
-    q, r = _ref_param(cone.line, v.ref_index)
+def _vertex_parameter(q: Point2, r, v) -> Rat:
+    """Parameter t of a finite vertex v at q + t r_i (_ref_param) on rho^i."""
     p = v.location.point
     return ((p.x1 - q.x1) * r[0] + (p.x2 - q.x2) * r[1]) / (r[0] * r[0] + r[1] * r[1])

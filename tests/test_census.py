@@ -6,8 +6,9 @@ on common: parabolas, vertices at infinity and transitional lines are each
 a tenth or more of the census, against a few percent of the random
 families.  On every census cone the pieces equal their rebuild from the
 residual form, their topology is the class, the exact roots on each
-active reference line are its finite vertices, and the vertex relations
-equal their geometric reference.
+active reference line are its finite vertices, every piece passes the
+exact piece check (oracle.check_piece), and the vertex relations equal
+their geometric reference.
 
 Tier-1 checks a fixed-stride slice.  Run the whole census, which prints its
 counts, before any change to the construction or the verifier:
@@ -25,7 +26,7 @@ from itertools import product
 from taxiconics import build_section, cone_from_raw, cone_to_json, rat, section_topology
 from taxiconics.cones import active_indices
 from taxiconics.errors import DegenerateCone, ZeroVector
-from taxiconics.oracle import _rebuild_pieces, _vertex_parameter, reference_roots
+from taxiconics.oracle import _rebuild_pieces, _ref_param, _vertex_parameter, check_piece, reference_roots
 
 from relations_reference import relations_agree
 
@@ -62,7 +63,7 @@ def census_cones(stride: int = 1, rejected: Counter | None = None) -> list:
 
 def census_failures(cone, section) -> tuple:
     """The checks the section of cone fails: rebuild, topology, roots on
-    rho^i, relations."""
+    rho^i, pieces, relations."""
     failed = []
     if section.pieces != _rebuild_pieces(cone):
         failed.append("rebuild")
@@ -73,10 +74,13 @@ def census_failures(cone, section) -> tuple:
     if topology != section.klass:
         failed.append("topology")
     for i in active_indices(cone.line):
-        params = sorted(_vertex_parameter(cone, v) for v in section.vertices
+        q, r = _ref_param(cone.line, i)
+        params = sorted(_vertex_parameter(q, r, v) for v in section.vertices
                         if v.location.is_finite and v.ref_index == i)
         if reference_roots(cone, i) != (params, False):
             failed.append(f"roots on rho^{i}")
+    if any(check_piece(cone.residual_form, piece)[1] for piece in section.pieces):
+        failed.append("pieces")
     if not cone.line.is_horizontal and not relations_agree(cone, section.vertices):
         failed.append("relations")
     return tuple(failed)

@@ -99,7 +99,7 @@ def test_verify_passes_when_vertices_are_close(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", spec, "--grid", "41", "-o", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["vertices_bisected"] == report["vertices_checked"]
+    assert report["vertices_confirmed"] == report["vertices_checked"]
     assert capsys.readouterr().err.startswith("ok: ")
 
 

@@ -1,11 +1,12 @@
 """Golden output: one SHA-256 over the section JSON, SVG and adjacency of a
-fixed cone set, and the verify reports of the acceptance cones; a second one
-over the atlas and U_kappa rasters, their inconsistency lists and raster SVGs;
-a third over section SVGs at explicit viewports.
+fixed cone set; a second over the verify reports of the acceptance cones; a
+third over the atlas and U_kappa rasters, their inconsistency lists and
+raster SVGs; a fourth over section SVGs at explicit viewports.
 
 The digests pin byte-identical output across refactors.  A change that
-alters output on purpose updates GOLDEN_SHA256, RASTER_SHA256 or
-VIEWPORT_SHA256 and says why.
+alters output on purpose updates GOLDEN_SHA256, VERIFY_SHA256, RASTER_SHA256
+or VIEWPORT_SHA256 and says why; a change to the verify report alone moves
+only VERIFY_SHA256.
 """
 
 import hashlib
@@ -20,7 +21,8 @@ from taxiconics.render import default_viewport, render_raster, render_section
 from conftest import random_cones, random_vertex_at_infinity_cones
 from test_oracle import ACCEPTANCE_CONES
 
-GOLDEN_SHA256 = "429e566eff3ae6017d52c79ee6c404345392277d3b4da47b40b783b969496eed"
+GOLDEN_SHA256 = "5caafa2509ef9cd98ac84df3ca803f864bb765ec27388d8975785b551ae5facd"
+VERIFY_SHA256 = "0df042161b110406c512cbeb9d5b6b9dfb79a24645d51eaca77ce227a38cbbd0"
 RASTER_SHA256 = "19a6d017e8f2c370ce2df7394b63f317c5fc3cb6b5b8d8e042f05bb376612f38"
 VIEWPORT_SHA256 = "b44382c70a7dd086a815f30a865df2a83f4f423705aabf42ab4ff7e31520cb29"
 
@@ -46,9 +48,14 @@ def golden_digest() -> str:
         h.update(json.dumps(section_to_json(section), sort_keys=True).encode())
         h.update(render_section(section).encode())
         h.update(json.dumps(_adjacency_json(cone)).encode())
+    return h.hexdigest()
+
+
+def verify_digest() -> str:
+    h = hashlib.sha256()
     cfg = OracleConfig(grid_n=21)
-    for cone in acceptance:
-        h.update(json.dumps(verify_cone(cone, cfg)).encode())
+    for spec in ACCEPTANCE_CONES:
+        h.update(json.dumps(verify_cone(cone_from_raw(*spec), cfg)).encode())
     return h.hexdigest()
 
 
@@ -111,6 +118,10 @@ def viewport_digest() -> str:
 
 def test_golden_outputs_unchanged():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_verify_reports_unchanged():
+    assert verify_digest() == VERIFY_SHA256
 
 
 def test_raster_outputs_unchanged():

@@ -12,20 +12,22 @@ from hypothesis import strategies as st
 from taxiconics import build_section, cone_from_raw, point2, point3, rat, rat_str, section_topology
 from taxiconics.cones import active_indices
 from taxiconics.errors import DegenerateCone, ZeroVector
-from taxiconics.geometry import Point2, piece_contains
+from taxiconics.geometry import Point2, Ray, Segment, piece_contains
 from taxiconics.oracle import (
     OracleConfig,
     ScanReport,
     _ref_param,
     _vertex_parameter,
+    check_piece,
     exact_residual,
     grid_residual_scan,
     reference_roots,
+    sample_piece_points,
     section_bbox,
     verify_cone,
 )
 
-from conftest import reference_residual
+from conftest import random_vertex_at_infinity_cones, reference_residual
 from float_reference import linspace, numeric_dist_to_line
 
 FIG8 = ((rat(1, 2), rat(1, 5), 1), (rat(3, 2), 1, 1), 2)
@@ -96,7 +98,8 @@ def vertex_roots(cone) -> dict:
     """What active_roots must be: on each active rho^i the sorted parameters
     t of the section's finite vertices there, and no zero interval."""
     finite = [v for v in build_section(cone).vertices if v.location.is_finite]
-    return {i: (sorted(_vertex_parameter(cone, v) for v in finite if v.ref_index == i), False)
+    return {i: (sorted(_vertex_parameter(*_ref_param(cone.line, i), v) for v in finite if v.ref_index == i),
+                False)
             for i in active_indices(cone.line)}
 
 
@@ -203,6 +206,50 @@ def test_reference_roots_see_a_flipped_term():
     assert flips > 90
 
 
+def extended(piece):
+    """piece made longer by 1/1000: a segment past b by 1/1000 of its
+    length, a ray's base moved back by 1/1000 of its direction."""
+    if isinstance(piece, Segment):
+        d = (piece.b - piece.a).scaled(rat(1, 1000))
+        return Segment(piece.a, Point2(piece.b.x1 + d.x1, piece.b.x2 + d.x2))
+    return Ray(piece.base - piece.direction.scaled(rat(1, 1000)), piece.direction)
+
+
+def test_piece_check_catches_extended_pieces_that_sampling_misses(cone_family):
+    # the samples sit at t = k/1000, k < 1000, on a segment and t >= 1/997 on
+    # a ray, so they never reach the added part; the exact check probes its
+    # ends
+    rng = random.Random(0)
+    cones = cone_family[:200] + random_vertex_at_infinity_cones(100, 20240811)
+    pieces = probes = caught = missed = 0
+    for cone in cones:
+        form = cone.residual_form
+        for piece in build_section(cone).pieces:
+            count, off = check_piece(form, piece)
+            assert off == [], (cone, piece)
+            pieces += 1
+            probes += count
+            bad = extended(piece)
+            caught += check_piece(form, bad)[1] != []
+            missed += all(exact_residual(cone, p) == 0 for p in sample_piece_points(bad, 12, rng))
+    assert (pieces, caught, missed) == (1797, 1797, 1797)
+    assert probes == 6382
+
+
+def test_verify_cone_reports_an_extended_piece(monkeypatch):
+    import taxiconics.oracle as oracle
+
+    for raw in (FIG8, FIG11):
+        cone = cone_from_raw(*raw)
+        section = build_section(cone)
+        broken = dataclasses.replace(section, pieces=[extended(p) for p in section.pieces])
+        monkeypatch.setattr(oracle, "build_section", lambda c: broken)
+        report = verify_cone(cone, OracleConfig(grid_n=3))
+        off = [v for v in report["violations"] if v.startswith("piece point (")]
+        assert len(off) == len(section.pieces), report["violations"]
+        assert report["piece_points_checked"] >= 2 * len(section.pieces)
+
+
 def test_grid_scan_unit_circle():
     cone = cone_from_raw((0, 0, 1), (0, 0, 1), 1)
     section = build_section(cone)
@@ -231,7 +278,7 @@ def test_verify_cone_passes():
     report = verify_cone(cone, OracleConfig(grid_n=41))
     assert report["passed"] and report["violations"] == []
     assert report["vertices_checked"] == 5
-    assert report["vertices_bisected"] == report["vertices_checked"]
+    assert report["vertices_confirmed"] == report["vertices_checked"]
     assert report["class"] == "hyperbola"
 
 
@@ -239,7 +286,7 @@ def test_verify_cone_horizontal():
     report = verify_cone(cone_from_raw(*FIG11), OracleConfig(grid_n=41))
     assert report["passed"]
     assert report["vertices_checked"] == 2
-    assert report["vertices_bisected"] == report["vertices_checked"]
+    assert report["vertices_confirmed"] == report["vertices_checked"]
 
 
 def test_verify_cone_reports_a_sector_rebuild_mismatch(monkeypatch):
@@ -292,7 +339,7 @@ def test_verify_bisects_every_finite_vertex(cone_family):
     for cone in cone_family[:200]:
         report = verify_cone(cone, cfg)
         assert report["violations"] == []
-        assert report["vertices_bisected"] == report["vertices_checked"]
+        assert report["vertices_confirmed"] == report["vertices_checked"]
 
 
 # ---------------------------------------------------------------------------
