@@ -31,8 +31,16 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _read_json(path: str):
+    """The JSON value in a file; nesting too deep to decode is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_cone(path: str):
-    return cone_from_json(json.loads(Path(path).read_text()))
+    return cone_from_json(_read_json(path))
 
 
 def _split(text: str, form: str) -> list[str]:
@@ -111,8 +119,7 @@ def _cmd_ukappa(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    data = json.loads(Path(args.section).read_text())
-    section = section_from_json(data)
+    section = section_from_json(_read_json(args.section))
     viewport = None
     if args.viewport:
         viewport = tuple(map(rat, _split(args.viewport, "x0,y0,x1,y1")))

@@ -78,6 +78,12 @@ class LineParams:
             raise ValueError("a horizontal line does not meet the slicing plane")
         return Point2(self.a1, self.a2)
 
+    @property
+    def base(self) -> Point2:
+        """Base point b of the reference lines rho^i = b + t r_i: a, or the
+        origin for a horizontal line (see reference_directions)."""
+        return Point2(rat(0), rat(0)) if self.is_horizontal else Point2(self.a1, self.a2)
+
     def to_json(self):
         return [rat_str(self.a1), rat_str(self.a2), str(self.a3)]
 
@@ -113,15 +119,19 @@ class CharStrip:
         return abs(self.A1 * p.x1 + self.A2 * p.x2)
 
 
-def normalize_plane(raw) -> PlaneParams:
+def _normalized(raw, what: str) -> tuple:
+    """A nonzero triple divided by its third component, or, when that is 0,
+    the projective direction of the first two and 0."""
     r1, r2, r3 = (rat(c) for c in raw)
     if r1 == 0 and r2 == 0 and r3 == 0:
-        raise ZeroVector("plane parameter must be nonzero")
+        raise ZeroVector(f"{what} parameter must be nonzero")
     if r3 != 0:
-        A1, A2, delta = r1 / r3, r2 / r3, 1
-    else:
-        A1, A2 = projective_direction(r1, r2)
-        delta = 0
+        return r1 / r3, r2 / r3, 1
+    return (*projective_direction(r1, r2), 0)
+
+
+def normalize_plane(raw) -> PlaneParams:
+    A1, A2, delta = _normalized(raw, "plane")
     m12 = max(abs(A1), abs(A2))
     M = max(m12, rat(delta))
     if delta == 0:
@@ -138,14 +148,7 @@ def normalize_plane(raw) -> PlaneParams:
 
 
 def normalize_line(raw) -> LineParams:
-    r1, r2, r3 = (rat(c) for c in raw)
-    if r1 == 0 and r2 == 0 and r3 == 0:
-        raise ZeroVector("line parameter must be nonzero")
-    if r3 != 0:
-        a1, a2, a3 = r1 / r3, r2 / r3, 1
-    else:
-        a1, a2 = projective_direction(r1, r2)
-        a3 = 0
+    a1, a2, a3 = _normalized(raw, "line")
     dom = dominance_class((a1, a2, a3))
     if a3 == 0:
         klass = HORIZONTAL
@@ -203,9 +206,9 @@ def active_partial_pair(line: LineParams) -> Optional[tuple[int, int]]:
 def reference_directions(line: LineParams) -> dict:
     """Directions r_i of the defined reference lines rho^i = b + t r_i.
 
-    r_1 = (1, 0), r_2 = (0, 1) and r_3 = (a1, a2) through b = a; rho^3 is
-    undefined when ell is the x3-axis.  A horizontal line defines only
-    rho^3, through the origin.
+    r_1 = (1, 0), r_2 = (0, 1) and r_3 = (a1, a2) through b = line.base = a;
+    rho^3 is undefined when ell is the x3-axis.  A horizontal line defines
+    only rho^3, through b = 0.
     """
     if line.is_horizontal:
         return {3: (line.a1, line.a2)}
@@ -226,10 +229,10 @@ def active_indices(line: LineParams) -> list[int]:
 
 def reference_lines(line: LineParams) -> list[tuple[int, Line2, bool]]:
     """Defined reference lines as (index, line, active); see reference_directions."""
-    b = (0, 0) if line.is_horizontal else (line.a1, line.a2)
+    b1, b2 = line.base
     active = active_indices(line)
     return [
-        (i, Line2.of(r[1], -r[0], r[0] * b[1] - r[1] * b[0]), i in active)
+        (i, Line2.of(r[1], -r[0], r[0] * b2 - r[1] * b1), i in active)
         for i, r in reference_directions(line).items()
     ]
 

@@ -3,7 +3,9 @@
 Points, lines, segments and rays with rational coordinates.  Lines and
 directions are canonicalized so that value equality is plain structural
 equality, and points at infinity are explicit values rather than sentinel
-coordinates.
+coordinates.  Each piece is read through one parametrization, its span
+q + t d for 0 <= t <= hi.  clip_interval is the one line clipper, in
+integers; clip_line feeds it a line given by its equation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional, Union
 
-from ._rat import Rat, rat, rat_str, sign
+from ._rat import Rat, as_integers, rat, rat_str, sign
 from .errors import CoincidentPoints, IdenticalLines
 
 
@@ -45,15 +47,10 @@ def cross(u: Point2, v: Point2) -> Rat:
 
 def primitive_direction(dx, dy) -> Point2:
     """Scale a nonzero rational vector to coprime integers, keeping orientation."""
-    dx, dy = rat(dx), rat(dy)
-    if dx == 0 and dy == 0:
+    (ax, ay), _ = as_integers((rat(dx), rat(dy)))
+    if ax == 0 and ay == 0:
         raise ValueError("zero direction")
-    nx, dxden = int(dx.numerator), int(dx.denominator)
-    ny, dyden = int(dy.numerator), int(dy.denominator)
-    # common denominator, then divide by content
-    ax = nx * dyden
-    ay = ny * dxden
-    g = gcd(abs(ax), abs(ay))
+    g = gcd(ax, ay)
     return Point2(Rat(ax // g), Rat(ay // g))
 
 
@@ -111,9 +108,8 @@ class Line2:
         c1, c2, c0 = rat(c1), rat(c2), rat(c0)
         if c1 == 0 and c2 == 0:
             raise ValueError("degenerate line: (c1, c2) must be nonzero")
-        den = int(c1.denominator) * int(c2.denominator) * int(c0.denominator)
-        ints = [int(c * den) for c in (c1, c2, c0)]
-        g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
+        ints, _ = as_integers((c1, c2, c0))
+        g = gcd(*ints)
         ints = [v // g for v in ints]
         lead = ints[0] if ints[0] != 0 else ints[1]
         if lead < 0:
@@ -140,13 +136,6 @@ def line_through(p: Point2, q: Point2) -> Line2:
     c2 = p.x1 - q.x1
     c0 = -(c1 * p.x1 + c2 * p.x2)
     return Line2.of(c1, c2, c0)
-
-
-def point_on_line(c1, c2, c0) -> Point2:
-    """A point of c1*x1 + c2*x2 + c0 = 0: on the x2-axis unless the line is vertical."""
-    if c2 != 0:
-        return Point2(rat(0), -c0 / c2)
-    return Point2(-c0 / c1, rat(0))
 
 
 def clip_interval(origin, direction, forms, lo=None, hi=None) -> Optional[tuple]:
@@ -183,6 +172,17 @@ def clip_interval(origin, direction, forms, lo=None, hi=None) -> Optional[tuple]
         return Point2(Rat(qx * m + n * d1, q * m), Rat(qy * m + n * d2, q * m))
 
     return at(lo), at(hi)
+
+
+def clip_line(line, forms) -> Optional[tuple]:
+    """clip_interval on the line c1 x + c2 y + c0 = 0, line = (c1, c2, c0)
+    in integers: its ends along d = (-c2, c1) from the point (0, -c0/c2),
+    or (-c0/c1, 0) on a vertical line."""
+    c1, c2, c0 = line
+    qx, qy, q = (0, -c0, c2) if c2 else (-c0, 0, c1)
+    if q < 0:
+        qx, qy, q = -qx, -qy, -q
+    return clip_interval((qx, qy, q), (-c2, c1), forms)
 
 
 def padded_box(points, pad) -> tuple[Rat, Rat, Rat, Rat]:
@@ -223,6 +223,11 @@ class Segment:
             p, q = q, p
         return Segment(p, q)
 
+    @property
+    def span(self) -> tuple:
+        """(q, d, hi): the segment is q + t d for 0 <= t <= hi."""
+        return self.a, self.b - self.a, 1
+
     def to_json(self):
         return {"kind": "segment", "a": self.a.to_json(), "b": self.b.to_json()}
 
@@ -238,6 +243,11 @@ class Ray:
     def of(base: Point2, dx, dy) -> "Ray":
         return Ray(base, primitive_direction(dx, dy))
 
+    @property
+    def span(self) -> tuple:
+        """(q, d, hi): the ray is q + t d for t >= 0; hi = None."""
+        return self.base, self.direction, None
+
     def to_json(self):
         return {"kind": "ray", "base": self.base.to_json(), "dir": self.direction.to_json()}
 
@@ -252,29 +262,16 @@ def piece_sort_key(piece: Piece):
 
 
 def piece_contains(piece: Piece, p: Point2) -> bool:
-    """Exact membership of p in a segment or ray."""
-    if isinstance(piece, Segment):
-        d = piece.b - piece.a
-        r = p - piece.a
-        if cross(d, r) != 0:
-            return False
-        t = (r.x1 * d.x1 + r.x2 * d.x2)  # numerator of projection, denom > 0
-        return 0 <= t <= d.x1 * d.x1 + d.x2 * d.x2
-    d = piece.direction
-    r = p - piece.base
+    """Exact membership of p in a segment or ray (Piece.span)."""
+    q, d, hi = piece.span
+    r = p - q
     if cross(d, r) != 0:
         return False
-    return r.x1 * d.x1 + r.x2 * d.x2 >= 0
+    t = r.x1 * d.x1 + r.x2 * d.x2  # the parameter of p times |d|^2 > 0
+    return t >= 0 and (hi is None or t <= hi * (d.x1 * d.x1 + d.x2 * d.x2))
 
 
 def piece_point_at(piece: Piece, t: Rat) -> Point2:
-    """Point at parameter t: segments over [0, 1], rays over [0, inf)."""
-    if isinstance(piece, Segment):
-        return Point2(
-            piece.a.x1 + t * (piece.b.x1 - piece.a.x1),
-            piece.a.x2 + t * (piece.b.x2 - piece.a.x2),
-        )
-    return Point2(
-        piece.base.x1 + t * piece.direction.x1,
-        piece.base.x2 + t * piece.direction.x2,
-    )
+    """Point q + t d of a piece's span: segments over [0, 1], rays over [0, inf)."""
+    q, d, _ = piece.span
+    return Point2(q.x1 + t * d.x1, q.x2 + t * d.x2)

@@ -4,14 +4,14 @@ The checks deliberately avoid the construction's closed forms.  Every
 residual d(x, ell) - kappa d(x, P) is read from the cone's one integer form,
 cone.residual_form (built from the distances, never from sections):
 exact_residual at the vertices; line_restriction, the form along a line,
-whose exact zeros on each active reference line q + t r_i must be its
-finite vertices and which proves that each piece lies on the cone; the
-grid scan, whose exact zeros on a rational grid must lie on the pieces; and
-the rebuild of the pieces region by region, which clips each zero line with
-geometry.clip_interval, the SVG writer's clipper.  The topology of the
-pieces must match the class.  No check uses floating point or random
-numbers; only the grid report prints its largest residual off the section
-as a float.
+whose exact zeros on each active reference line b + t r_i, parametrized as
+in the construction, must be its finite vertices and which proves that each
+piece lies on the cone along its span; the grid scan, whose exact zeros on
+a rational grid must lie on the pieces; and the rebuild of the pieces region
+by region, which clips each zero line with geometry.clip_line, as the SVG
+writer clips its lines.  The topology of the pieces must match the class.
+No check uses floating point or random numbers; only the grid report prints
+its largest residual off the section as a float.
 """
 
 from __future__ import annotations
@@ -22,19 +22,18 @@ from typing import Callable, Optional
 
 from ._rat import Rat, as_integers, rat, rat_str, sign
 from .atlas import MAX_GRID, grid_axes
-from .cones import ConeSpec, LineParams, active_indices, cone_to_json, reference_directions, reference_lines
+from .cones import ConeSpec, LineParams, active_indices, cone_to_json, reference_directions
 from .geometry import (
     Line2,
     Piece,
     Point2,
     Ray,
     Segment,
-    clip_interval,
+    clip_line,
     padded_box,
     piece_contains,
     piece_point_at,
     piece_sort_key,
-    point_on_line,
 )
 from .sections import ConicSection, build_section, finite_points, section_topology
 
@@ -51,16 +50,6 @@ class OracleConfig:
 
 
 DEFAULT_CONFIG = OracleConfig()
-
-
-def _ref_param(line: LineParams, ref_index: int) -> tuple[Point2, tuple]:
-    """Origin q and direction r_i of the parametrization q + t r_i of rho^i.
-
-    r_i comes from reference_directions; q is point_on_line of rho^i, so t
-    is x1 on rho^1, x2 on rho^2 and the multiplier of (a1, a2) on rho^3.
-    """
-    g = {i: g for i, g, _ in reference_lines(line)}[ref_index]
-    return point_on_line(g.c1, g.c2, g.c0), reference_directions(line)[ref_index]
 
 
 def line_restriction(form, q: Point2, r) -> tuple[list[Rat], Callable[[Rat], int]]:
@@ -96,11 +85,13 @@ def line_restriction(form, q: Point2, r) -> tuple[list[Rat], Callable[[Rat], int
 
 
 def reference_roots(cone: ConeSpec, ref_index: int) -> tuple[list[Rat], bool]:
-    """Exact roots t of d(x, ell) - kappa d(x, P) at x = q + t r_i on rho^i,
-    and whether it is zero all along some interval: at two consecutive
-    probes, the candidates of line_restriction and one point beyond each
-    end, or two points when there is none and num is constant."""
-    cands, num = line_restriction(cone.residual_form, *_ref_param(cone.line, ref_index))
+    """Exact roots t of d(x, ell) - kappa d(x, P) at x = b + t r_i on rho^i
+    (b = cone.line.base), and whether it is zero all along some interval: at
+    two consecutive probes, the candidates of line_restriction and one point
+    beyond each end, or two points when there is none and num is constant.
+    A root is the t = e/den of the vertex at it (sections.vertex_slot)."""
+    line = cone.line
+    cands, num = line_restriction(cone.residual_form, line.base, reference_directions(line)[ref_index])
     probes = [cands[0] - 1, *cands, cands[-1] + 1] if cands else [Rat(0), Rat(1)]
     zero = [num(t) == 0 for t in probes]
     roots = [t for t, z in zip(probes[1:-1], zero[1:-1]) if z]
@@ -110,14 +101,14 @@ def reference_roots(cone: ConeSpec, ref_index: int) -> tuple[list[Rat], bool]:
 def check_piece(form, piece: Piece) -> tuple[int, list[Point2]]:
     """The number of probes on piece and the probes off the cone (num != 0).
 
-    num is linear between the candidates of line_restriction, so a segment
-    a + t (b - a) lies on the cone iff num is zero at t = 0, 1 and each
-    candidate between; a ray base + t d iff at 0, each candidate past 0
-    and one past the last."""
-    seg = isinstance(piece, Segment)
-    cands, num = line_restriction(form, *((piece.a, piece.b - piece.a) if seg else (piece.base, piece.direction)))
-    inner = [t for t in cands if 0 < t and (t < 1 or not seg)]
-    probes = [Rat(0), *inner, Rat(1) if seg else (inner or [Rat(0)])[-1] + 1]
+    num is linear between the candidates of line_restriction, so the span
+    q + t d, 0 <= t <= hi, of a piece (Piece.span) lies on the cone iff num
+    is zero at t = 0, at each candidate between and at hi; for a ray, with
+    no hi, at one point past the last candidate instead."""
+    q, d, hi = piece.span
+    cands, num = line_restriction(form, q, d)
+    inner = [t for t in cands if 0 < t and (hi is None or t < hi)]
+    probes = [Rat(0), *inner, (inner or [Rat(0)])[-1] + 1 if hi is None else hi]
     return len(probes), [piece_point_at(piece, t) for t in probes if num(t)]
 
 
@@ -148,16 +139,12 @@ def section_bbox(section: ConicSection) -> tuple[Rat, Rat, Rat, Rat]:
 def _clip_line(line, forms) -> Optional[Piece]:
     """The part of {c1 x + c2 y + c0 = 0} where every form h has h >= 0.
 
-    All forms are integer triples (c1, c2, c0) at (x, y, 1), and
-    geometry.clip_interval clips the line ((qx, qy) + s d)/q with
-    d = (-c2, c1), q > 0.  Returns a Segment, a Ray, or None when the part
-    is empty or a single point.
+    All forms are integer triples (c1, c2, c0) at (x, y, 1), clipped by
+    geometry.clip_line along d = (-c2, c1).  Returns a Segment, a Ray, or
+    None when the part is empty or a single point.
     """
-    c1, c2, c0 = line
-    qx, qy, q = (0, -c0, c2) if c2 else (-c0, 0, c1)
-    if q < 0:
-        qx, qy, q = -qx, -qy, -q
-    ends = clip_interval((qx, qy, q), (-c2, c1), forms)
+    c1, c2, _ = line
+    ends = clip_line(line, forms)
     if ends is None:
         return None
     low, high = ends
@@ -323,8 +310,7 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     confirmed = 0
     for i in active_indices(cone.line):
         roots, interval = reference_roots(cone, i)
-        q, r = _ref_param(cone.line, i)
-        params = sorted(_vertex_parameter(q, r, v) for v in finite_vertices if v.ref_index == i)
+        params = sorted(_vertex_parameter(cone.line, v) for v in finite_vertices if v.ref_index == i)
         if interval:
             violations.append(f"the residual is zero on an interval of rho^{i}")
         elif roots != params:
@@ -359,7 +345,8 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     }
 
 
-def _vertex_parameter(q: Point2, r, v) -> Rat:
-    """Parameter t of a finite vertex v at q + t r_i (_ref_param) on rho^i."""
-    p = v.location.point
-    return ((p.x1 - q.x1) * r[0] + (p.x2 - q.x2) * r[1]) / (r[0] * r[0] + r[1] * r[1])
+def _vertex_parameter(line: LineParams, v) -> Rat:
+    """Parameter t of a finite vertex v at line.base + t r_i on rho^i,
+    i = v.ref_index: the t = e/den of sections.vertex_slot."""
+    (b1, b2), (r1, r2), p = line.base, reference_directions(line)[v.ref_index], v.location.point
+    return ((p.x1 - b1) * r1 + (p.x2 - b2) * r2) / (r1 * r1 + r2 * r2)

@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of sections and parameter-space rasters.
 
-Exact rational geometry is clipped to the viewport before any float appears,
-by geometry.clip_interval in integers, the clipper the verifier's piece
-rebuild uses too; rational-to-decimal conversion happens only here, at 12
-significant digits, so identical inputs produce byte-identical SVG.
+Exact rational geometry is clipped to the viewport in integers before any
+float appears: pieces along their spans by geometry.clip_interval, lines by
+geometry.clip_line, as in the verifier's piece rebuild.  Rational-to-decimal
+conversion happens only here, at 12 significant digits, so identical inputs
+produce byte-identical SVG.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional
 
 from ._rat import as_integers, rat
 from .cones import positive_kappa
-from .geometry import Line2, Point2, Segment, clip_interval, padded_box, point_on_line
+from .geometry import Line2, Point2, clip_interval, clip_line, padded_box
 from .sections import ConicSection, finite_points
 
 
@@ -63,22 +64,19 @@ class _Canvas:
             f'<path d="M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}" {style}/>'
         )
 
-    def clipped(self, q: Point2, d: Point2, style: str, lo=None, hi=None) -> Optional[str]:
-        """Path of q + t d, t in [lo, hi] (None: unbounded), clipped to the box,
-        from its low end to its high end."""
-        (qx, qy, d1, d2), m = as_integers((q.x1, q.x2, d.x1, d.x2))
-        ends = clip_interval((qx, qy, m), (d1, d2), self.forms, lo, hi)
-        if ends is None:
-            return None
-        return self.path(*ends, style)
+    def clipped(self, ends, style: str) -> Optional[str]:
+        """Path between the ends of a part clipped to the box; None when the
+        part is empty or a single point."""
+        return None if ends is None else self.path(*ends, style)
 
     def clipped_piece(self, piece, style: str) -> Optional[str]:
-        if isinstance(piece, Segment):
-            return self.clipped(piece.a, piece.b - piece.a, style, 0, 1)
-        return self.clipped(piece.base, piece.direction, style, 0)
+        """The span q + t d, 0 <= t <= hi, of a piece clipped to the box."""
+        q, d, hi = piece.span
+        (qx, qy, d1, d2), m = as_integers((q.x1, q.x2, d.x1, d.x2))
+        return self.clipped(clip_interval((qx, qy, m), (d1, d2), self.forms, 0, hi), style)
 
     def clipped_line(self, g: Line2, style: str) -> Optional[str]:
-        return self.clipped(point_on_line(g.c1, g.c2, g.c0), g.direction(), style)
+        return self.clipped(clip_line((int(g.c1), int(g.c2), int(g.c0)), self.forms), style)
 
     def marker(self, p: Point2, radius: float, style: str) -> str:
         x, y = self.to_px(p)

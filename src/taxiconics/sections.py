@@ -122,11 +122,11 @@ def finite_points(section: ConicSection) -> Iterator[Point2]:
 def vertex_slot(cone: ConeSpec, index: int, sgn: int) -> ExtendedPoint:
     """Vertex formula value for one (reference line, sign) slot.
 
-    Defined whether or not the reference line is active.  On rho^i = a + t r_i
-    the vertex is a + (e/den) r_i with e the incidence and
-    den = sgn M/kappa - (A1 r_i1 + A2 r_i2); den = 0 puts it at infinity along
-    r_i.  For a horizontal line it is r (a1, a2) with
-    r = -(delta + sgn M/kappa)/e.
+    Defined whether or not the reference line is active.  On
+    rho^i = b + t r_i (b = line.base) the vertex is b + (e/den) r_i with e
+    the incidence and den = sgn M/kappa - (A1 r_i1 + A2 r_i2); den = 0 puts
+    it at infinity along r_i.  For a horizontal line b = 0, r_3 = (a1, a2)
+    and t = -(delta + sgn M/kappa)/e.
     """
     plane, line = cone.plane, cone.line
     refs = reference_directions(line)
@@ -134,15 +134,16 @@ def vertex_slot(cone: ConeSpec, index: int, sgn: int) -> ExtendedPoint:
         raise ValueError(f"rho^{index} is undefined for line {line.to_json()}")
     mk = plane.M / cone.kappa
     e = cone.incidence
-    if line.is_horizontal:
-        r = (plane.delta + sgn * mk) / (-e)
-        return ExtendedPoint.finite(Point2(line.a1 * r, line.a2 * r))
     r1, r2 = refs[index]
-    den = sgn * mk - (plane.A1 * r1 + plane.A2 * r2)
-    if den == 0:
-        return ExtendedPoint.at_infinity(r1, r2)
-    t = e / den
-    return ExtendedPoint.finite(Point2(line.a1 + t * r1, line.a2 + t * r2))
+    if line.is_horizontal:
+        t = (plane.delta + sgn * mk) / (-e)
+    else:
+        den = sgn * mk - (plane.A1 * r1 + plane.A2 * r2)
+        if den == 0:
+            return ExtendedPoint.at_infinity(r1, r2)
+        t = e / den
+    b1, b2 = line.base
+    return ExtendedPoint.finite(Point2(b1 + t * r1, b2 + t * r2))
 
 
 def vertices(cone: ConeSpec) -> list[Vertex]:

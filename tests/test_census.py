@@ -8,10 +8,13 @@ families.  On every census cone the pieces equal their rebuild from the
 residual form, their topology is the class, the exact roots on each
 active reference line are its finite vertices, every piece passes the
 exact piece check (oracle.check_piece), and the vertex relations equal
-their geometric reference.
+their geometric reference.  The shapes of the sections (class, numbers of
+segments and rays, vertices at infinity) are pinned: CENSUS_SHAPES for the
+whole census, SLICE_SHAPES for the slice.
 
 Tier-1 checks a fixed-stride slice.  Run the whole census, which prints its
-counts, before any change to the construction or the verifier:
+counts and exits 1 on a failed check or a drift of the shape table, before
+any change to the construction or the verifier:
 
     PYTHONPATH=src python tests/test_census.py
 """
@@ -26,7 +29,8 @@ from itertools import product
 from taxiconics import build_section, cone_from_raw, cone_to_json, rat, section_topology
 from taxiconics.cones import active_indices
 from taxiconics.errors import DegenerateCone, ZeroVector
-from taxiconics.oracle import _rebuild_pieces, _ref_param, _vertex_parameter, check_piece, reference_roots
+from taxiconics.geometry import Segment
+from taxiconics.oracle import _rebuild_pieces, _vertex_parameter, check_piece, reference_roots
 
 from relations_reference import relations_agree
 
@@ -36,6 +40,37 @@ KAPPAS = [rat(1, 2), rat(1), rat(2)]
 # to the 12 choices of (delta, a3, kappa) and the 7 values, so the slice
 # keeps the census's shares of each case
 SLICE_STRIDE = 11
+
+# (class, segments, rays, vertices at infinity): number of sections.  The
+# sections with no segment are exactly the horizontal defining lines.
+CENSUS_SHAPES = {
+    ("ellipse", 4, 0, 0): 2307,
+    ("ellipse", 6, 0, 0): 1268,
+    ("hyperbola", 0, 4, 0): 12480,
+    ("hyperbola", 1, 4, 1): 1408,
+    ("hyperbola", 2, 4, 0): 2800,
+    ("hyperbola", 2, 4, 2): 244,
+    ("hyperbola", 3, 4, 1): 952,
+    ("hyperbola", 4, 4, 0): 816,
+    ("parabola", 1, 2, 2): 520,
+    ("parabola", 2, 2, 1): 1536,
+    ("parabola", 3, 2, 2): 424,
+    ("parabola", 4, 2, 1): 508,
+}
+SLICE_SHAPES = {
+    ("ellipse", 4, 0, 0): 218,
+    ("ellipse", 6, 0, 0): 113,
+    ("hyperbola", 0, 4, 0): 1133,
+    ("hyperbola", 1, 4, 1): 136,
+    ("hyperbola", 2, 4, 0): 247,
+    ("hyperbola", 2, 4, 2): 21,
+    ("hyperbola", 3, 4, 1): 88,
+    ("hyperbola", 4, 4, 0): 73,
+    ("parabola", 1, 2, 2): 42,
+    ("parabola", 2, 2, 1): 137,
+    ("parabola", 3, 2, 2): 42,
+    ("parabola", 4, 2, 1): 47,
+}
 
 
 def census_specs():
@@ -74,8 +109,7 @@ def census_failures(cone, section) -> tuple:
     if topology != section.klass:
         failed.append("topology")
     for i in active_indices(cone.line):
-        q, r = _ref_param(cone.line, i)
-        params = sorted(_vertex_parameter(q, r, v) for v in section.vertices
+        params = sorted(_vertex_parameter(cone.line, v) for v in section.vertices
                         if v.location.is_finite and v.ref_index == i)
         if reference_roots(cone, i) != (params, False):
             failed.append(f"roots on rho^{i}")
@@ -86,13 +120,22 @@ def census_failures(cone, section) -> tuple:
     return tuple(failed)
 
 
-def census_counts(cones, failed: list) -> Counter:
-    """Class and boundary-case counts over cones; each cone that fails a
-    check goes into failed with the checks it fails."""
+def section_shape(section) -> tuple:
+    """(class, segments, rays, vertices at infinity) of a section."""
+    segments = sum(isinstance(p, Segment) for p in section.pieces)
+    at_infinity = sum(not v.location.is_finite for v in section.vertices)
+    return section.klass, segments, len(section.pieces) - segments, at_infinity
+
+
+def census_counts(cones, failed: list, shapes: Counter) -> Counter:
+    """Class and boundary-case counts over cones; each section's shape is
+    counted in shapes, and each cone that fails a check goes into failed with
+    the checks it fails."""
     counts = Counter(cones=len(cones))
     for cone in cones:
         section = build_section(cone)
         counts[section.klass] += 1
+        shapes[section_shape(section)] += 1
         counts["vertex at infinity"] += any(not v.location.is_finite for v in section.vertices)
         counts["transitional line"] += cone.line.dominance.is_transitional
         counts["horizontal line"] += cone.line.is_horizontal
@@ -103,9 +146,10 @@ def census_counts(cones, failed: list) -> Counter:
 
 
 def test_census_slice():
-    failed = []
-    counts = census_counts(census_cones(SLICE_STRIDE), failed)
+    failed, shapes = [], Counter()
+    counts = census_counts(census_cones(SLICE_STRIDE), failed, shapes)
     assert failed == []
+    assert shapes == SLICE_SHAPES
     # the slice keeps every boundary case of the census
     for case in ("ellipse", "parabola", "hyperbola", "vertex at infinity",
                  "transitional line", "horizontal line"):
@@ -114,14 +158,19 @@ def test_census_slice():
 
 def main() -> int:
     start = time.perf_counter()
-    rejected, failed = Counter(), []
-    counts = census_counts(census_cones(rejected=rejected), failed)
+    rejected, failed, shapes = Counter(), [], Counter()
+    counts = census_counts(census_cones(rejected=rejected), failed, shapes)
     for name, count in sorted({**counts, **rejected}.items()):
         print(f"{name}: {count}")
+    for shape, count in sorted(shapes.items()):
+        print(f"shape {' '.join(map(str, shape))}: {count}")
+    drift = [s for s in sorted(set(shapes) | set(CENSUS_SHAPES)) if shapes[s] != CENSUS_SHAPES.get(s, 0)]
+    for shape in drift:
+        print(f"SHAPE DRIFT {' '.join(map(str, shape))}: {shapes[shape]}, pinned {CENSUS_SHAPES.get(shape, 0)}")
     for cone, checks in failed:
         print(f"FAILED {', '.join(checks)}: {cone}")
     print(f"seconds: {time.perf_counter() - start:.1f}")
-    return 1 if failed else 0
+    return 1 if failed or drift else 0
 
 
 if __name__ == "__main__":

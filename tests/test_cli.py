@@ -393,3 +393,14 @@ def test_verify_rejects_plane_too_large_for_a_float(tmp_path, capsys):
     assert main(["verify", spec, "--grid", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "section", "verify", "render"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, command):
+    # the json decoder recurses once per level and gives up with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+    assert captured.out == ""

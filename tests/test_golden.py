@@ -1,12 +1,13 @@
 """Golden output: one SHA-256 over the section JSON, SVG and adjacency of a
 fixed cone set; a second over the verify reports of the acceptance cones; a
 third over the atlas and U_kappa rasters, their inconsistency lists and
-raster SVGs; a fourth over section SVGs at explicit viewports.
+raster SVGs; a fourth over section SVGs at explicit viewports; a fifth over
+the section JSON, SVG and adjacency of the census slice (tests/test_census.py).
 
 The digests pin byte-identical output across refactors.  A change that
-alters output on purpose updates GOLDEN_SHA256, VERIFY_SHA256, RASTER_SHA256
-or VIEWPORT_SHA256 and says why; a change to the verify report alone moves
-only VERIFY_SHA256.
+alters output on purpose updates GOLDEN_SHA256, VERIFY_SHA256, RASTER_SHA256,
+VIEWPORT_SHA256 or CENSUS_SHA256 and says why; a change to the verify report
+alone moves only VERIFY_SHA256.
 """
 
 import hashlib
@@ -19,12 +20,14 @@ from taxiconics.oracle import OracleConfig, verify_cone
 from taxiconics.render import default_viewport, render_raster, render_section
 
 from conftest import random_cones, random_vertex_at_infinity_cones
+from test_census import SLICE_STRIDE, census_cones
 from test_oracle import ACCEPTANCE_CONES
 
 GOLDEN_SHA256 = "5caafa2509ef9cd98ac84df3ca803f864bb765ec27388d8975785b551ae5facd"
 VERIFY_SHA256 = "0df042161b110406c512cbeb9d5b6b9dfb79a24645d51eaca77ce227a38cbbd0"
 RASTER_SHA256 = "19a6d017e8f2c370ce2df7394b63f317c5fc3cb6b5b8d8e042f05bb376612f38"
 VIEWPORT_SHA256 = "b44382c70a7dd086a815f30a865df2a83f4f423705aabf42ab4ff7e31520cb29"
+CENSUS_SHA256 = "d71cdf68c6886cc3d0f16b3986dd9ea0550c33e90b449ac95aef4e7a5b7ac388"
 
 RASTER_KAPPAS = ["1/5", "2/5", "1/2", "4/5", "1", "5/4", "3"]
 RASTER_BBOXES = [DEFAULT_BBOX, ("-3/2", "-7/5", "5/3", "2/7"), ("1/3", "-5/4", "9/2", "1/6")]
@@ -39,9 +42,8 @@ def _adjacency_json(cone):
     return [[v.to_json(), w.to_json(), rel] for v, w, rel in adjacency(cone)]
 
 
-def golden_digest() -> str:
-    acceptance = [cone_from_raw(*spec) for spec in ACCEPTANCE_CONES]
-    cones = acceptance + random_cones(300, 20240811) + random_vertex_at_infinity_cones(200, 20240811)
+def sections_digest(cones) -> str:
+    """SHA-256 over the section JSON, SVG and adjacency of each cone."""
     h = hashlib.sha256()
     for cone in cones:
         section = build_section(cone)
@@ -49,6 +51,11 @@ def golden_digest() -> str:
         h.update(render_section(section).encode())
         h.update(json.dumps(_adjacency_json(cone)).encode())
     return h.hexdigest()
+
+
+def golden_digest() -> str:
+    acceptance = [cone_from_raw(*spec) for spec in ACCEPTANCE_CONES]
+    return sections_digest(acceptance + random_cones(300, 20240811) + random_vertex_at_infinity_cones(200, 20240811))
 
 
 def verify_digest() -> str:
@@ -118,6 +125,10 @@ def viewport_digest() -> str:
 
 def test_golden_outputs_unchanged():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_census_slice_outputs_unchanged():
+    assert sections_digest(census_cones(SLICE_STRIDE)) == CENSUS_SHA256
 
 
 def test_verify_reports_unchanged():

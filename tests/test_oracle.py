@@ -10,13 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taxiconics import build_section, cone_from_raw, point2, point3, rat, rat_str, section_topology
-from taxiconics.cones import active_indices
+from taxiconics.cones import active_indices, reference_directions
 from taxiconics.errors import DegenerateCone, ZeroVector
 from taxiconics.geometry import Point2, Ray, Segment, piece_contains
 from taxiconics.oracle import (
     OracleConfig,
     ScanReport,
-    _ref_param,
     _vertex_parameter,
     check_piece,
     exact_residual,
@@ -85,8 +84,9 @@ assert verify_cone(cone, OracleConfig(grid_n=11))["passed"]
 
 
 def _on_reference_line(cone, i, t) -> Point2:
-    q, (r1, r2) = _ref_param(cone.line, i)
-    return Point2(q.x1 + t * r1, q.x2 + t * r2)
+    """The point b + t r_i of rho^i, b = cone.line.base."""
+    b, (r1, r2) = cone.line.base, reference_directions(cone.line)[i]
+    return Point2(b.x1 + t * r1, b.x2 + t * r2)
 
 
 def active_roots(cone) -> dict:
@@ -98,18 +98,17 @@ def vertex_roots(cone) -> dict:
     """What active_roots must be: on each active rho^i the sorted parameters
     t of the section's finite vertices there, and no zero interval."""
     finite = [v for v in build_section(cone).vertices if v.location.is_finite]
-    return {i: (sorted(_vertex_parameter(*_ref_param(cone.line, i), v) for v in finite if v.ref_index == i),
-                False)
+    return {i: (sorted(_vertex_parameter(cone.line, v) for v in finite if v.ref_index == i), False)
             for i in active_indices(cone.line)}
 
 
 def test_reference_roots_fig8():
     cone = cone_from_raw(*FIG8)
-    # v1- is at infinity: rho^1 has one root
+    # v1- is at infinity: rho^1 has one root.  t is measured from a = (3/2, 1)
     assert active_roots(cone) == vertex_roots(cone) == {
-        1: ([rat(-9, 20)], False),
-        2: ([rat(-25, 14), rat(15, 2)], False),
-        3: ([rat(-10, 3), rat(-10, 29)], False),
+        1: ([rat(-39, 20)], False),
+        2: ([rat(-39, 14), rat(13, 2)], False),
+        3: ([rat(-13, 3), rat(-39, 29)], False),
     }
 
 
@@ -127,6 +126,38 @@ def test_no_extra_roots_on_active_lines(cone_family):
     assert any(c.line.is_horizontal for c in cones)
     for cone in cones:
         assert active_roots(cone) == vertex_roots(cone), cone
+
+
+def slot_parameters(cone) -> tuple[dict, int]:
+    """On each active rho^i the sorted closed-form t = e/den of its finite
+    slots (sections.vertex_slot: den = s M/kappa - A.r_i, and
+    t = -(delta + s M/kappa)/e on a horizontal line's rho^3), with no zero
+    interval; and the number of slots at infinity (den = 0)."""
+    plane, line, e, mk = cone.plane, cone.line, cone.incidence, cone.plane.M / cone.kappa
+    refs = reference_directions(line)
+    out, at_infinity = {}, 0
+    for i in active_indices(line):
+        if line.is_horizontal:
+            ts = [-(plane.delta + s * mk) / e for s in (1, -1)]
+        else:
+            dens = [s * mk - (plane.A1 * refs[i][0] + plane.A2 * refs[i][1]) for s in (1, -1)]
+            ts = [e / den for den in dens if den]
+            at_infinity += 2 - len(ts)
+        out[i] = (sorted(ts), False)
+    return out, at_infinity
+
+
+def test_reference_roots_are_the_construction_parameters(cone_family):
+    # the verifier and the construction parametrize rho^i alike, b + t r_i:
+    # the roots are the vertex formula's own t = e/den
+    cones = cone_family + random_vertex_at_infinity_cones(1000, 20240811)
+    horizontal = at_infinity = 0
+    for cone in cones:
+        expected, slots_at_infinity = slot_parameters(cone)
+        assert active_roots(cone) == expected, cone
+        horizontal += cone.line.is_horizontal
+        at_infinity += slots_at_infinity
+    assert horizontal > 50 and at_infinity > 1000
 
 
 @settings(deadline=None, max_examples=150)

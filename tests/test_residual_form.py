@@ -205,9 +205,10 @@ def test_the_memo_leaves_the_cone_value_unchanged():
 
 
 def test_reference_roots_separate_vertices_half_apart():
-    # v1+ and v1- lie on rho^1 at t = -13/8 and -9/8, 1/2 apart: a bracket
-    # of +-1/2 around one ends on the other, and no bracket is needed here
+    # v1+ and v1- lie on rho^1 at x1 = -13/8 and -9/8, 1/2 apart: a bracket
+    # of +-1/2 around one ends on the other, and no bracket is needed here.
+    # On rho^1 = a + t (1, 0), t = x1 - a1 = x1 + 4/3
     cone = cone_from_raw((1, rat(3, 4), 1), (rat(-4, 3), rat(-3, 2), 1), rat(1, 6))
     params = {v.label: v.location.point.x1 for v in build_section(cone).vertices if v.ref_index == 1}
     assert params == {"v1+": rat(-13, 8), "v1-": rat(-9, 8)}
-    assert reference_roots(cone, 1) == ([rat(-13, 8), rat(-9, 8)], False)
+    assert reference_roots(cone, 1) == ([rat(-7, 24), rat(5, 24)], False)
