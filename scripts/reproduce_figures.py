@@ -23,7 +23,7 @@ from taxiconics import (
     section_to_json,
 )
 from taxiconics.atlas import atlas_sweep, ukappa_sweep
-from taxiconics.render import render_raster, render_section
+from taxiconics.render import render_section, write_raster
 
 SECTIONS = {
     "hyperbola_vertex_at_infinity": (("1/2", "1/5", "1"), ("3/2", "1", "1"), "2"),
@@ -70,7 +70,7 @@ def main() -> int:
         (out / f"{name}.svg").write_text(render_section(section))
         print(f"{name}: {section.klass}")
     rows = atlas_sweep(normalize_plane([rat(c) for c in plane]), rat("3/2"), args.grid)
-    (out / "atlas_plane_2-3_1-5.svg").write_text(render_raster(rows, ("-2", "-2", "2", "2")))
+    write_raster(out / "atlas_plane_2-3_1-5.svg", rows, ("-2", "-2", "2", "2"))
 
     for name, (a1, a2) in HORIZONTAL_SHAPES.items():
         section, tag = horizontal_plane_section(normalize_line((rat(a1), rat(a2), 1)), 1)
@@ -80,9 +80,7 @@ def main() -> int:
     for kappa in UKAPPA_VALUES:
         rows, bad = ukappa_sweep(rat(kappa), args.grid)
         slug = kappa.replace("/", "-")
-        (out / f"ukappa_{slug}.svg").write_text(
-            render_raster(rows, ("-2", "-2", "2", "2"), kappa=rat(kappa))
-        )
+        write_raster(out / f"ukappa_{slug}.svg", rows, ("-2", "-2", "2", "2"), kappa=rat(kappa))
         print(f"ukappa {kappa}: {len(bad)} inconsistencies")
         assert not bad
 

@@ -163,8 +163,9 @@ def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
     side(r kp, a kq d) for t <= a and the sign of q for t > a.  The petal
     falls only after t = 0 on the row Y = 0, where at t = 0 the disk, and so
     the min, is -1.
-    Every cell of a run where the two disagree is one inconsistency record,
-    in row-major order.
+    A cell reads y only through |y| and y^2, so the rows at y and -y have the
+    same runs, which are found once.  Every cell of a run where the two
+    disagree is one inconsistency record, in row-major order.
     """
     kp, kq = _kappa_terms(kappa)
     xs, ys, d = grid_axes(bbox, n)
@@ -172,6 +173,7 @@ def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
     halves = [(lo, hi) for lo, hi in ((0, zero), (zero, n)) if lo < hi]
     rows = []
     inconsistencies = []
+    runs_at = {}  # |y| -> the run starts of the rows at y and -y
     for y in ys:
         ay, yy = abs(y), y * y
 
@@ -184,11 +186,12 @@ def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
             actual = max(_side(m * kp, edge), _side(r * kp, edge * d))
             return actual, _u_kappa_side(r, m, d, kp, kq)
 
-        starts = []
-        for lo, hi in halves:
-            v_lo = cell(lo)
-            starts.append((lo, v_lo))
-            _bisect_runs(cell, lo, v_lo, hi - 1, cell(hi - 1), starts)
+        starts = runs_at.setdefault(ay, [])
+        if not starts:
+            for lo, hi in halves:
+                v_lo = cell(lo)
+                starts.append((lo, v_lo))
+                _bisect_runs(cell, lo, v_lo, hi - 1, cell(hi - 1), starts)
         row = []
         for (lo, (actual, position)), (hi, _) in zip(starts, starts[1:] + [(n, None)]):
             row.append(_LETTER[1 + actual] * (hi - lo))

@@ -16,7 +16,7 @@ from .atlas import DEFAULT_BBOX, MAX_GRID, atlas_sweep, ukappa_sweep
 from .cones import cone_from_json, normalize_plane
 from .errors import TaxiconicsError
 from .oracle import OracleConfig, verify_cone
-from .render import _check_width, render_raster, render_section
+from .render import _check_width, render_section, write_raster
 from .sections import build_section, classify, section_from_json, section_to_json
 
 
@@ -94,7 +94,7 @@ def _cmd_atlas(args) -> int:
     }
     _write(_dump_json(payload), args.output)
     if args.svg:
-        Path(args.svg).write_text(render_raster(rows, bbox, width=args.width))
+        write_raster(args.svg, rows, bbox, width=args.width)
     return 0
 
 
@@ -111,7 +111,7 @@ def _cmd_ukappa(args) -> int:
     }
     _write(_dump_json(payload), args.output)
     if args.svg:
-        Path(args.svg).write_text(render_raster(rows, bbox, kappa=kappa, width=args.width))
+        write_raster(args.svg, rows, bbox, kappa=kappa, width=args.width)
     if bad:
         print(f"FAIL: {len(bad)} classification inconsistencies", file=sys.stderr)
         return 2

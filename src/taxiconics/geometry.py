@@ -275,3 +275,9 @@ def piece_point_at(piece: Piece, t: Rat) -> Point2:
     """Point q + t d of a piece's span: segments over [0, 1], rays over [0, inf)."""
     q, d, _ = piece.span
     return Point2(q.x1 + t * d.x1, q.x2 + t * d.x2)
+
+
+def piece_ends(piece: Piece) -> tuple:
+    """The finite ends of a piece's span: q, and q + hi d unless hi is None."""
+    q, _, hi = piece.span
+    return (q,) if hi is None else (q, piece_point_at(piece, hi))

@@ -4,13 +4,13 @@ Exact rational geometry is clipped to the viewport in integers before any
 float appears: pieces along their spans by geometry.clip_interval, lines by
 geometry.clip_line, as in the verifier's piece rebuild.  Rational-to-decimal
 conversion happens only here, at 12 significant digits, so identical inputs
-produce byte-identical SVG.
+produce byte-identical SVG.  A raster document is streamed a row at a time.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Optional
+from itertools import chain, groupby
+from typing import Iterator, Optional
 
 from ._rat import as_integers, rat
 from .cones import positive_kappa
@@ -44,8 +44,9 @@ class _Canvas:
         if xmax <= xmin or ymax <= ymin:
             raise ValueError("viewport must have positive extent")
         self.scale = width / float(xmax - xmin)
-        self.width = width
-        self.height = float(ymax - ymin) * self.scale
+        w, h = _fmt(width), _fmt(float(ymax - ymin) * self.scale)
+        self.head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                     f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">')
         # the box as four integer forms h1 x + h2 y + h0 >= 0
         (x0, y0, x1, y1), d = as_integers(self.box)
         self.forms = ((d, 0, -x0), (-d, 0, x1), (0, d, -y0), (0, -d, y1))
@@ -81,15 +82,6 @@ class _Canvas:
     def marker(self, p: Point2, radius: float, style: str) -> str:
         x, y = self.to_px(p)
         return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" {style}/>'
-
-
-def _svg_document(canvas: _Canvas, body: list[str]) -> str:
-    head = (
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" '
-        f'viewBox="0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}">'
-    )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
 def default_viewport(section: ConicSection):
@@ -129,7 +121,7 @@ def render_section(section: ConicSection, viewport=None, width: int = 480) -> st
     for a in section.aux_points:
         if a.active and a.location.is_finite:
             body.append(canvas.marker(a.location.point, 2.6, _DEFAULT_STYLES["aux"]))
-    return _svg_document(canvas, body)
+    return "\n".join([canvas.head, *body, "</svg>", ""])
 
 
 _CELL_FILL = {
@@ -141,13 +133,14 @@ _CELL_FILL = {
 _DROP_CELL_LETTERS = str.maketrans("", "", "".join(_CELL_FILL))
 
 
-def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
-    """SVG heat-map of a classification raster (row 0 at the bottom).
+def raster_chunks(rows: list[str], bbox, kappa=None, width: int = 480) -> Iterator[str]:
+    """SVG heat-map of a classification raster (row 0 at the bottom) as the
+    chunks of one document: the head, each row, the overlay and the end tag.
 
     The rows must all have one nonzero length, there must be at least one,
     and every letter must be E, P, H or D.  Given kappa, overlays the disks
     and square whose arrangement bounds the ellipse region U_kappa of the
-    perpendicular case.
+    perpendicular case.  Every check runs before the first chunk is yielded.
     """
     _check_width(width)
     n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
@@ -160,49 +153,58 @@ def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
     if unknown:
         raise ValueError(f"raster letters must be E, P, H or D, got {', '.join(sorted(set(unknown)))}")
     canvas = _Canvas(bbox, width)
+    k = None if kappa is None else float(positive_kappa(kappa))
+    yield canvas.head + "\n"
     xmin, ymin, xmax, ymax = canvas.box
     cell_w = float(xmax - xmin) * canvas.scale / n_cols
     cell_h = float(ymax - ymin) * canvas.scale / n_rows
     # Each column's x, each row's y and the cell size are formatted once.
     # A row's text is its y and the size joined between cols[0] and then
     # tails[letter][i] for each cell i: the end of cell i, a newline and the
-    # start of cell i + 1, or the bare end for the last cell.  A run of
-    # equal letters is one list slice.
+    # start of cell i + 1, or the end and the row's newline for the last
+    # cell.  A run of equal letters is one list slice.
     cols = [f'<rect x="{_fmt(ix * cell_w)}" y="' for ix in range(n_cols)]
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
     ends = {letter: f'{fill}"/>' for letter, fill in _CELL_FILL.items()}
-    tails = {letter: [f"{end}\n{col}" for col in cols[1:]] + [end] for letter, end in ends.items()}
-    body = []
+    tails = {letter: [f"{end}\n{col}" for col in cols[1:]] + [end + "\n"] for letter, end in ends.items()}
     for iy, row in enumerate(rows):
         parts, start = [cols[0]], 0
         for letter, run in groupby(row):
             stop = start + len(list(run))
             parts += tails[letter][start:stop]
             start = stop
-        body.append((_fmt((n_rows - 1 - iy) * cell_h) + size).join(parts))
-    if kappa is not None:
-        k = float(positive_kappa(kappa))
+        yield (_fmt((n_rows - 1 - iy) * cell_h) + size).join(parts)
+    if k is not None:
         style = _DEFAULT_STYLES["ukappa_boundary"]
+        px, py = canvas.to_px(Point2(rat(0), rat(0)))
 
         def circle(cx, cy, r):
-            px, py = canvas.to_px(Point2(rat(0), rat(0)))
             x = px + cx * canvas.scale
             y = py - cy * canvas.scale
-            body.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r * canvas.scale)}" {style}/>'
-            )
+            return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r * canvas.scale)}" {style}/>\n'
 
-        circle(0.0, 0.0, k ** -0.5)
+        yield circle(0.0, 0.0, k ** -0.5)
         if k < 1:
             r = 1.0 / (2 * k)
             for cx, cy in ((r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)):
-                circle(cx, cy, r)
+                yield circle(cx, cy, r)
         else:
-            half = 1.0 / k
-            px, py = canvas.to_px(Point2(rat(0), rat(0)))
-            s = half * canvas.scale
-            body.append(
+            s = 1.0 / k * canvas.scale
+            yield (
                 f'<rect x="{_fmt(px - s)}" y="{_fmt(py - s)}" '
-                f'width="{_fmt(2 * s)}" height="{_fmt(2 * s)}" {style}/>'
+                f'width="{_fmt(2 * s)}" height="{_fmt(2 * s)}" {style}/>\n'
             )
-    return _svg_document(canvas, body)
+    yield "</svg>\n"
+
+
+def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
+    """The raster_chunks document as one string."""
+    return "".join(raster_chunks(rows, bbox, kappa, width))
+
+
+def write_raster(path, rows: list[str], bbox, kappa=None, width: int = 480):
+    """Write the raster_chunks document to path, opened once every check passed."""
+    chunks = raster_chunks(rows, bbox, kappa, width)
+    head = next(chunks)
+    with open(path, "w") as out:
+        out.writelines(chain([head], chunks))

@@ -52,6 +52,7 @@ from .geometry import (
     Point2,
     Ray,
     Segment,
+    piece_ends,
     piece_sort_key,
 )
 
@@ -109,7 +110,7 @@ class ConicSection:
 def finite_points(section: ConicSection) -> Iterator[Point2]:
     """Piece endpoints and finite vertices of a section."""
     for piece in section.pieces:
-        yield from ((piece.a, piece.b) if isinstance(piece, Segment) else (piece.base,))
+        yield from piece_ends(piece)
     for v in section.vertices:
         if v.location.is_finite:
             yield v.location.point
@@ -430,15 +431,14 @@ def section_topology(pieces: list[Piece]) -> str:
     for k, piece in enumerate(pieces):
         node = ("piece", k)
         parent.setdefault(node, node)
-        ends = (piece.a, piece.b) if isinstance(piece, Segment) else (piece.base,)
-        for p in ends:
+        for p in piece_ends(piece):
             union(node, ("pt", p))
             endpoint_degree[p] = endpoint_degree.get(p, 0) + 1
     roots = {find(("piece", k)) for k in range(len(pieces))}
     n_components = len(roots)
     has_ray = {root: False for root in roots}
     for k, piece in enumerate(pieces):
-        if isinstance(piece, Ray):
+        if piece.span[2] is None:
             has_ray[find(("piece", k))] = True
     if n_components == 2:
         return HYPERBOLA
@@ -502,6 +502,9 @@ def section_from_json(data) -> ConicSection:
     """Decode section_to_json output; any malformed input raises ValueError."""
     try:
         trace = data.get("trace")
+        warnings = _field(data, "warnings", list, [])
+        if any(type(w) is not str for w in warnings):
+            raise ValueError(f"'warnings' must be a list of strings, got {warnings!r}")
         return ConicSection(
             klass=_field(data, "class", str),
             pieces=[_piece_from_json(p) for p in _field(data, "pieces", list)],
@@ -518,7 +521,7 @@ def section_from_json(data) -> ConicSection:
                 (_field(r, "index", int), Line2.of(*rats(r["line"], 3)), _field(r, "active", bool))
                 for r in _field(data, "ref_lines", list, [])
             ],
-            warnings=_field(data, "warnings", list, []),
+            warnings=warnings,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed section: {exc}") from exc

@@ -353,3 +353,19 @@ def test_ukappa_reports_a_run_splitting_prediction_cell_by_cell(monkeypatch, kap
         rows, bad = ukappa_sweep(kappa, n, bbox)
         assert bad
         assert (rows, bad) == per_cell_ukappa(kappa, n, bbox)
+
+
+@pytest.mark.parametrize("bbox", [("-1", "-2", "3", "2"), ("-1", "-2", "3", "1")])
+def test_ukappa_mirrored_rows_match_per_cell_kernels(monkeypatch, bbox):
+    # Rows at y and -y share their runs but not their inconsistency records.
+    for kappa in ("1/2", "1", "5/2"):
+        for n in (13, 25, 40):
+            rows, bad = ukappa_sweep(kappa, n, bbox)
+            assert (rows, bad) == per_cell_ukappa(kappa, n, bbox)
+            ys = atlas.grid_axes(bbox, n)[1]
+            mirrored = [(ys.index(-y), k) for k, y in enumerate(ys) if y > 0 and -y in ys]
+            assert mirrored and all(rows[i] == rows[k] for i, k in mirrored)
+    monkeypatch.setattr(atlas, "_u_kappa_side", lambda r, m, d, kp, kq: atlas._side(2 * m, d))
+    rows, bad = ukappa_sweep("1", 25, bbox)
+    assert {entry["A"][1][0] == "-" for entry in bad} == {True, False}
+    assert (rows, bad) == per_cell_ukappa("1", 25, bbox)

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from taxiconics import atlas, normalize_plane, rat, rat_str
 from taxiconics.cli import MAX_GRID, main
+from taxiconics.render import render_raster
 
 FIG10A = {"A": ["2/3", "1/5", "1"], "a": ["9/10", "9/10", "1"], "kappa": "1"}
 FIG8 = {"A": ["1/2", "1/5", "1"], "a": ["3/2", "1", "1"], "kappa": "2"}
@@ -404,3 +406,35 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == f"error: {path}: JSON nested too deeply\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["atlas", "--plane=1,-3,1"], ["ukappa"]])
+@pytest.mark.parametrize("grid", [10, 11])
+@pytest.mark.parametrize("bbox", [None, "-1,-3,2,1"])
+@pytest.mark.parametrize("width", [None, 300])
+def test_sweep_svg_file_is_render_raster(tmp_path, command, grid, bbox, width):
+    out, svg = tmp_path / "out.json", tmp_path / "out.svg"
+    argv = command + ["--kappa", "3/4", "--grid", str(grid), "-o", str(out), "--svg", str(svg)]
+    argv += ["--bbox=" + bbox] if bbox else []  # may start with "-"
+    argv += ["--width", str(width)] if width else []
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())["rows"]
+    kappa = rat("3/4") if command[0] == "ukappa" else None
+    expected = render_raster(rows, (bbox or "-2,-2,2,2").split(","), kappa, width or 480)
+    assert svg.read_bytes() == expected.encode()
+
+
+def test_atlas_svg_is_written_without_a_whole_document_string(tmp_path):
+    # The grid-101 SVG is about 1 MB; written a row at a time, no string
+    # near that size is ever held.
+    argv = ["atlas", "--plane=1,-3,1", "--kappa", "1", "--grid", "101",
+            "-o", str(tmp_path / "atlas.json"), "--svg", str(tmp_path / "atlas.svg")]
+    assert main(argv) == 0  # imports and first-call caches are not measured
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "atlas.svg").stat().st_size > 900_000
+    assert peak < 512 * 1024

@@ -1,6 +1,9 @@
 """Strict JSON decoding: any JSON value either decodes or raises ValueError
 (or a library error for a well-formed but invalid cone); nothing else."""
 
+import json
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from taxiconics import (
     section_from_json,
     section_to_json,
 )
+from taxiconics.cli import main
 from taxiconics.errors import TaxiconicsError
 from taxiconics.render import render_section
 
@@ -83,3 +87,20 @@ def test_one_corrupted_field_raises_only_value_errors(data, value):
         render_section(section_from_json(corrupted))
     except (ValueError, TaxiconicsError, OverflowError):
         pass
+
+
+@pytest.mark.parametrize("warnings", [[1, {"x": [None]}], [None], ["ok", 2], [["nested"]]])
+def test_section_warnings_must_be_strings(tmp_path, capsys, warnings):
+    doc = dict(DOCUMENTS[0], warnings=warnings)
+    with pytest.raises(ValueError, match="'warnings' must be a list of strings"):
+        section_from_json(doc)
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(doc))
+    assert main(["render", str(path), "-o", str(tmp_path / "out.svg")]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed section")
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_section_string_warnings_round_trip():
+    doc = dict(DOCUMENTS[0], warnings=["first", ""])
+    assert section_to_json(section_from_json(doc)) == doc

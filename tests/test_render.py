@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from taxiconics import build_section, cone_from_raw, rat
 from taxiconics.errors import NonPositiveKappa
-from taxiconics.render import _CELL_FILL, _fmt, render_raster, render_section
+from taxiconics.render import _CELL_FILL, _fmt, render_raster, render_section, write_raster
 
 
 @pytest.mark.parametrize("width", [0, -5])
@@ -100,3 +100,17 @@ def test_render_raster_matches_per_cell_rectangular_rows():
 def test_render_raster_matches_per_cell_hypothesis(rows, width):
     assert_raster_matches_per_cell(rows, ("-2", "-2", "2", "2"), width)
 
+
+
+@pytest.mark.parametrize("rows, bbox, kappa, width", [
+    (["EP", "E"], ("-2", "-2", "2", "2"), None, 480),
+    (["EX"], ("-2", "-2", "2", "2"), None, 480),
+    (["EP", "HD"], ("-2", "-2", "2", "2"), None, 0),
+    (["EP", "HD"], ("-2", "-2", "2", "2"), "0", 480),
+    (["EP", "HD"], ("1", "-2", "1", "2"), None, 480),
+])
+def test_write_raster_raises_before_the_file_exists(tmp_path, rows, bbox, kappa, width):
+    path = tmp_path / "raster.svg"
+    with pytest.raises((ValueError, NonPositiveKappa)):
+        write_raster(path, rows, bbox, kappa, width)
+    assert not path.exists()
