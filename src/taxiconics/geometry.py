@@ -228,6 +228,10 @@ class Segment:
         """(q, d, hi): the segment is q + t d for 0 <= t <= hi."""
         return self.a, self.b - self.a, 1
 
+    @property
+    def ends(self) -> tuple:  # the finite ends, in the span's order
+        return self.a, self.b
+
     def to_json(self):
         return {"kind": "segment", "a": self.a.to_json(), "b": self.b.to_json()}
 
@@ -247,6 +251,10 @@ class Ray:
     def span(self) -> tuple:
         """(q, d, hi): the ray is q + t d for t >= 0; hi = None."""
         return self.base, self.direction, None
+
+    @property
+    def ends(self) -> tuple:  # the one finite end
+        return (self.base,)
 
     def to_json(self):
         return {"kind": "ray", "base": self.base.to_json(), "dir": self.direction.to_json()}
@@ -276,8 +284,3 @@ def piece_point_at(piece: Piece, t: Rat) -> Point2:
     q, d, _ = piece.span
     return Point2(q.x1 + t * d.x1, q.x2 + t * d.x2)
 
-
-def piece_ends(piece: Piece) -> tuple:
-    """The finite ends of a piece's span: q, and q + hi d unless hi is None."""
-    q, _, hi = piece.span
-    return (q,) if hi is None else (q, piece_point_at(piece, hi))

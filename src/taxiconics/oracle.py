@@ -6,9 +6,10 @@ cone.residual_form (built from the distances, never from sections):
 exact_residual at the vertices; line_restriction, the form along a line,
 whose exact zeros on each active reference line b + t r_i, parametrized as
 in the construction, must be its finite vertices and which proves that each
-piece lies on the cone along its span; the grid scan, whose exact zeros on
-a rational grid must lie on the pieces; and the rebuild of the pieces region
-by region, which clips each zero line with geometry.clip_line, as the SVG
+piece lies on the cone along its span; the grid scan, which reads each row
+of a rational grid at its ends and around the zeros of the terms and whose
+exact zeros must lie on the pieces; and the rebuild of the pieces region by
+region, which clips each zero line with geometry.clip_line, as the SVG
 writer clips its lines.  The topology of the pieces must match the class.
 No check uses floating point or random numbers; only the grid report prints
 its largest residual off the section as a float.
@@ -212,6 +213,17 @@ class ScanReport:
         return asdict(self)
 
 
+def _row_columns(forms, n: int) -> list[int]:
+    """The sorted columns a row is read at: 0, n - 1, and the floor of the zero
+    -c/s of each form s k + c and the column after it, inside the row."""
+    cols = [0, n - 1]
+    for s, c in forms:
+        k = -c // s if s else -1
+        if 0 <= k < n - 1:
+            cols += (k, k + 1)
+    return sorted(set(cols))
+
+
 def grid_residual_scan(
     cone: ConeSpec,
     section: Optional[ConicSection] = None,
@@ -221,10 +233,17 @@ def grid_residual_scan(
     """Exact residual on a rational grid; zero set must lie on the pieces.
 
     Grid point (X, Y) stands for x = (X/D, Y/D, 1) over one denominator D,
-    and its residual is num(X, Y, D)/(den D) from cone.residual_form (see
-    metric.build_residual_form).  Each linear term of num is laid out as an
-    X column plus row terms, so a row costs integer adds and compares; a
-    point is a zero iff num == 0, and only zeros get a rational point.
+    with residual num(X, Y, D)/(den D) from cone.residual_form: num =
+    min_k S_k - |G|, S_k = |T_k1| + |T_k2| (metric.build_residual_form).
+    Along a row each T and G is an integer line s k + c in the column k, and
+    num is linear between consecutive zeros of the T and of G.  With one
+    pair that is plain.  With three, S_k is, up to one factor, the convex map
+    t -> sum_j |n_j| |X_j/n_j - t| at t_k = X_k/n_k; as no |n_j| outweighs
+    the other two, the least is at the median t_k, whose index changes where
+    two t_j, t_k cross: where T_jk = 0.  So a row is read at its ends and
+    around those zeros (_row_columns): its largest |num| is at one of them,
+    an interior zero between two is one exact divmod, and between two zeros
+    all columns are zeros.  Only zeros become points, checked in row order.
     """
     if section is None:
         section = build_section(cone)
@@ -233,51 +252,49 @@ def grid_residual_scan(
     n = cfg.grid_n
     xs, ys, big_d = grid_axes(bbox, n)
 
-    def columns(coefs):
-        # cx X + cy Y + cd D as an X column plus the row terms
-        cx, cy, cd = coefs
-        return [cx * x for x in xs], cy, cd * big_d
+    def along(c1, c2, c3):  # c1 X + c2 Y + c3 D at X = xs[0] + k (xs[1] - xs[0])
+        return c1 * (xs[1] - xs[0]), c2, c1 * xs[0] + c3 * big_d
 
     residual = cone.residual_form
-    terms = [[columns(c) for c in pair] for pair in residual.terms]
-    g_col, gy, gd = columns(residual.plane)
+    terms = [[along(*c) for c in pair] for pair in residual.terms]
+    gs, gy, gd = along(*residual.plane)
 
-    zeros = 0
-    max_num = 0
+    zeros = max_num = 0
     violations: list[str] = []
     for y in ys:
-        dists = []
-        for (c1, a1, b1), (c2, a2, b2) in terms:
-            r1, r2 = a1 * y + b1, a2 * y + b2
-            dists.append([abs(u + r1) + abs(v + r2) for u, v in zip(c1, c2)])
+        pairs = [[(s, cy * y + c) for s, cy, c in pair] for pair in terms]
+        gc = gy * y + gd
+        cols = _row_columns([t for pair in pairs for t in pair] + [(gs, gc)], n)
+        dists = [[abs(s1 * k + c1) + abs(s2 * k + c2) for k in cols] for (s1, c1), (s2, c2) in pairs]
         dist = dists[0] if len(dists) == 1 else map(min, *dists)
-        rg = gy * y + gd
-        nums = [s - abs(w + rg) for s, w in zip(dist, g_col)]
+        nums = [d - abs(gs * k + gc) for d, k in zip(dist, cols)]
         max_num = max(max_num, max(nums), -min(nums))
-        if 0 not in nums:
-            continue
-        for x, num in zip(xs, nums):
-            if num == 0:
-                zeros += 1
-                p = Point2(rat(x, big_d), rat(y, big_d))
-                if not any(piece_contains(piece, p) for piece in section.pieces):
-                    violations.append(
-                        f"zero residual off pieces at ({rat_str(p.x1)}, {rat_str(p.x2)})"
-                    )
-    max_off = rat(max_num, residual.den * big_d)
-    return ScanReport(n * n, zeros, float(max_off), violations)
+        hits = []
+        for a, b, u, v in zip(cols, cols[1:], nums, nums[1:]):
+            if u == 0:  # a, and every column up to b if b is a zero too
+                hits += range(a, b if v == 0 else a + 1)
+            elif v and (u < 0) != (v < 0):
+                k, r = divmod(u * (b - a), u - v)
+                if not r:
+                    hits.append(a + k)
+        if nums[-1] == 0:
+            hits.append(cols[-1])
+        for k in hits:
+            zeros += 1
+            p = Point2(rat(xs[k], big_d), rat(y, big_d))
+            if not any(piece_contains(piece, p) for piece in section.pieces):
+                violations.append(f"zero residual off pieces at ({rat_str(p.x1)}, {rat_str(p.x2)})")
+    return ScanReport(n * n, zeros, float(rat(max_num, residual.den * big_d)), violations)
 
 
 def sample_piece_points(piece, count: int, rng) -> list[Point2]:
     """Random rational points on a piece (interior parameters).  No src/
     code calls it; it stays for the perfbench oracle workload and the tests."""
+    hi = piece.span[2]
     out = []
     for _ in range(count):
         num = rng.randrange(1, 1000)
-        if isinstance(piece, Segment):
-            t = rat(num, 1000)
-        else:
-            t = rat(rng.randrange(1, 10000), 997)
+        t = rat(rng.randrange(1, 10000), 997) if hi is None else rat(num * hi, 1000)
         out.append(piece_point_at(piece, t))
     return out
 

@@ -52,7 +52,6 @@ from .geometry import (
     Point2,
     Ray,
     Segment,
-    piece_ends,
     piece_sort_key,
 )
 
@@ -110,7 +109,7 @@ class ConicSection:
 def finite_points(section: ConicSection) -> Iterator[Point2]:
     """Piece endpoints and finite vertices of a section."""
     for piece in section.pieces:
-        yield from piece_ends(piece)
+        yield from piece.ends
     for v in section.vertices:
         if v.location.is_finite:
             yield v.location.point
@@ -431,7 +430,7 @@ def section_topology(pieces: list[Piece]) -> str:
     for k, piece in enumerate(pieces):
         node = ("piece", k)
         parent.setdefault(node, node)
-        for p in piece_ends(piece):
+        for p in piece.ends:
             union(node, ("pt", p))
             endpoint_degree[p] = endpoint_degree.get(p, 0) + 1
     roots = {find(("piece", k)) for k in range(len(pieces))}

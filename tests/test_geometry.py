@@ -165,3 +165,14 @@ def test_clip_interval_examples():
     assert clip_interval((0, 0, 1), (0, 1), [(0, 1, 0)]) == (point2(0, 0), None)
     assert clip_interval((0, 2, 1), (1, -1), box) is None
     assert clip_interval((0, 3, 1), (1, 0), box) is None
+
+
+@settings(max_examples=200)
+@given(points, points, st.integers(-6, 6), st.integers(-6, 6))
+def test_piece_ends_are_the_span_ends(p, q, dx, dy):
+    # the stored ends equal q and q + hi d of the span, for segments and rays
+    pieces = [] if p == q else [Segment.of(p, q)]
+    pieces += [] if dx == dy == 0 else [Ray.of(p, dx, dy)]
+    for piece in pieces:
+        base, _, hi = piece.span
+        assert piece.ends == ((base,) if hi is None else (base, piece_point_at(piece, hi)))

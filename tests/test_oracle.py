@@ -2,6 +2,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taxiconics import build_section, cone_from_raw, point2, point3, rat, rat_str, section_topology
+from taxiconics.atlas import MAX_GRID, grid_axes
 from taxiconics.cones import active_indices, reference_directions
 from taxiconics.errors import DegenerateCone, ZeroVector
-from taxiconics.geometry import Point2, Ray, Segment, piece_contains
+from taxiconics.geometry import Point2, Ray, Segment, piece_contains, piece_point_at
 from taxiconics.oracle import (
     OracleConfig,
     ScanReport,
@@ -25,9 +27,11 @@ from taxiconics.oracle import (
     section_bbox,
     verify_cone,
 )
+from taxiconics.sections import finite_points
 
 from conftest import random_vertex_at_infinity_cones, reference_residual
 from float_reference import linspace, numeric_dist_to_line
+from test_census import SLICE_STRIDE, census_cones
 
 FIG8 = ((rat(1, 2), rat(1, 5), 1), (rat(3, 2), 1, 1), 2)
 FIG11 = ((rat(1, 2), rat(1, 3), 1), (3, 1, 0), 1)
@@ -244,6 +248,22 @@ def extended(piece):
         d = (piece.b - piece.a).scaled(rat(1, 1000))
         return Segment(piece.a, Point2(piece.b.x1 + d.x1, piece.b.x2 + d.x2))
     return Ray(piece.base - piece.direction.scaled(rat(1, 1000)), piece.direction)
+
+
+def test_sample_piece_points_draws(cone_family):
+    # a segment's span ends at hi = 1, so its points are at t = k/1000; a
+    # ray's at t = m/997, drawn after k; the same draws in the same order
+    pieces = [piece for cone in cone_family[:40] for piece in build_section(cone).pieces]
+    assert {piece.span[2] for piece in pieces} == {1, None}
+    for j, piece in enumerate(pieces):
+        rng, twin = random.Random(j), random.Random(j)
+        expected = []
+        for _ in range(5):
+            k = twin.randrange(1, 1000)
+            t = rat(k, 1000) if isinstance(piece, Segment) else rat(twin.randrange(1, 10000), 997)
+            expected.append(piece_point_at(piece, t))
+        assert sample_piece_points(piece, 5, rng) == expected
+        assert rng.random() == twin.random()
 
 
 def test_piece_check_catches_extended_pieces_that_sampling_misses(cone_family):
@@ -541,3 +561,179 @@ def test_section_bbox_rejects_a_section_without_finite_features():
 def test_grid_residual_scan_rejects_empty_or_mirrored_bbox(bbox):
     with pytest.raises(ValueError, match="x0 < x1 and y0 < y1"):
         grid_residual_scan(cone_from_raw(*FIG8), bbox=bbox, cfg=OracleConfig(grid_n=3))
+
+
+# ---------------------------------------------------------------------------
+# grid_residual_scan's row kernel against the per-cell integer loop
+
+
+def per_cell_scan(cone, section, bbox=None, cfg=OracleConfig()):
+    """The grid scan cell by cell: cone.residual_form at every grid point,
+    each linear term laid out as an X column plus row terms."""
+    if bbox is None:
+        bbox = section_bbox(section)
+    n = cfg.grid_n
+    xs, ys, big_d = grid_axes(bbox, n)
+
+    def columns(coefs):
+        # cx X + cy Y + cd D as an X column plus the row terms
+        cx, cy, cd = coefs
+        return [cx * x for x in xs], cy, cd * big_d
+
+    residual = cone.residual_form
+    terms = [[columns(c) for c in pair] for pair in residual.terms]
+    g_col, gy, gd = columns(residual.plane)
+
+    zeros = 0
+    max_num = 0
+    violations = []
+    for y in ys:
+        dists = []
+        for (c1, a1, b1), (c2, a2, b2) in terms:
+            r1, r2 = a1 * y + b1, a2 * y + b2
+            dists.append([abs(u + r1) + abs(v + r2) for u, v in zip(c1, c2)])
+        dist = dists[0] if len(dists) == 1 else map(min, *dists)
+        rg = gy * y + gd
+        nums = [s - abs(w + rg) for s, w in zip(dist, g_col)]
+        max_num = max(max_num, max(nums), -min(nums))
+        if 0 not in nums:
+            continue
+        for x, num in zip(xs, nums):
+            if num == 0:
+                zeros += 1
+                p = Point2(rat(x, big_d), rat(y, big_d))
+                if not any(piece_contains(piece, p) for piece in section.pieces):
+                    violations.append(
+                        f"zero residual off pieces at ({rat_str(p.x1)}, {rat_str(p.x2)})"
+                    )
+    max_off = rat(max_num, residual.den * big_d)
+    return ScanReport(n * n, zeros, float(max_off), violations)
+
+
+def row_kernel_zeros(cone, bbox=None, n=9, section=None) -> int:
+    """The row kernel's report equals per_cell_scan's; its number of zeros."""
+    if section is None:
+        section = build_section(cone)
+    cfg = OracleConfig(grid_n=n)
+    got = grid_residual_scan(cone, section, bbox, cfg).to_json()
+    assert got == per_cell_scan(cone, section, bbox, cfg).to_json(), (cone, bbox, n)
+    return got["zero_residual_points"]
+
+
+def test_row_kernel_matches_per_cell_scan_cones():
+    zeros = Counter()
+    for name, ((plane, line), _) in SCAN_CONES.items():
+        for kappa in KAPPAS:
+            cone = cone_from_raw(plane, line, kappa)
+            zeros[25] += row_kernel_zeros(cone, (-3, -3, 3, 3), n=25)
+            zeros[201] += row_kernel_zeros(cone, n=201)
+    assert zeros == {25: 218, 201: 1065}
+
+
+def test_row_kernel_matches_per_cell_scan_fixed_seeds(cone_family):
+    # the default bbox, and the same box moved by (1/2, -1/2)
+    zeros = Counter()
+    for cone in cone_family[:120]:
+        section = build_section(cone)
+        x0, y0, x1, y1 = section_bbox(section)
+        for bbox in (None, (x0 + rat(1, 2), y0 - rat(1, 2), x1 + rat(1, 2), y1 - rat(1, 2))):
+            for n in (3, 11, 51):
+                zeros[n, "default" if bbox is None else "offset"] += row_kernel_zeros(cone, bbox, n, section)
+    assert zeros == {(3, "default"): 18, (11, "default"): 55, (51, "default"): 158,
+                     (3, "offset"): 1, (11, "offset"): 12, (51, "offset"): 63}
+
+
+def test_row_kernel_matches_per_cell_scan_hypothesis():
+    # a drawn bbox, or a square of drawn half-width centred on a piece end
+    # or a finite vertex: the middle point of an odd grid is then a zero
+    zeros = []
+
+    @settings(deadline=None, max_examples=80, database=None)
+    @given(
+        st.tuples(rationals, rationals, st.sampled_from([0, 1])),
+        st.tuples(rationals, rationals, st.sampled_from([0, 1])),
+        st.builds(rat, st.integers(1, 12), st.integers(1, 6)),
+        st.one_of(bboxes(), st.tuples(st.integers(0, 5), st.builds(rat, st.integers(1, 12), st.integers(1, 4)))),
+        st.integers(1, 20).map(lambda k: 2 * k + 1),
+    )
+    def check(plane, line, kappa, box, n):
+        try:
+            cone = cone_from_raw(plane, line, kappa)
+        except (DegenerateCone, ZeroVector):
+            assume(False)
+        section = build_section(cone)
+        if len(box) == 2:
+            k, w = box
+            points = list(finite_points(section))
+            p = points[k % len(points)]
+            box = (p.x1 - w, p.x2 - w, p.x1 + w, p.x2 + w)
+        zeros.append(row_kernel_zeros(cone, box, n, section))
+
+    check()
+    assert sum(z > 0 for z in zeros) >= 10, zeros
+
+
+def test_row_kernel_matches_per_cell_scan_on_zero_lines(cone_family):
+    # grids with a row, a column or an edge on a zero line of a T (the
+    # reference lines through b) or of G (the trace), and rows along a piece
+    zeros = Counter()
+    for name, ((plane, line), _) in SCAN_CONES.items():
+        for kappa in KAPPAS:
+            cone = cone_from_raw(plane, line, kappa)
+            section = build_section(cone)
+            b = cone.line.base
+            # the middle row and column of an odd grid run through b
+            for n in (9, 21):
+                zeros["b"] += row_kernel_zeros(cone, (b.x1 - 2, b.x2 - 2, b.x1 + 2, b.x2 + 2), n, section)
+            # the lower left corner at a finite vertex, on a T zero line
+            for v in section.vertices:
+                if v.location.is_finite:
+                    p = v.location.point
+                    zeros["vertex"] += row_kernel_zeros(cone, (p.x1, p.x2, p.x1 + 3, p.x2 + 4), 17, section)
+            # a point of the trace G = 0 at the lower left corner and at the
+            # middle of the grid; a horizontal trace is then a row
+            g1, g2, g3 = cone.residual_form.plane
+            if g1 or g2:
+                p = Point2(rat(-g3, g1), rat(0)) if g1 else Point2(rat(0), rat(-g3, g2))
+                for bbox in ((p.x1, p.x2, p.x1 + 3, p.x2 + 3), (p.x1 - 2, p.x2 - 2, p.x1 + 2, p.x2 + 2)):
+                    zeros["trace"] += row_kernel_zeros(cone, bbox, 13, section)
+    # the middle row runs along each horizontal piece, a segment over 5
+    # columns or a ray over half the row
+    for cone in cone_family:
+        section = build_section(cone)
+        for piece in section.pieces:
+            q, d, hi = piece.span
+            if d.x2 == 0:
+                ends = [p.x1 for p in piece.ends]
+                lo, up = min(ends), max(ends)
+                w = 1 if hi is None else up - lo
+                zeros["horizontal"] += row_kernel_zeros(cone, (lo - w, q.x2 - w, up + w, q.x2 + w), 13, section)
+    assert zeros == {"b": 250, "vertex": 366, "trace": 109, "horizontal": 372}
+
+
+def test_row_kernel_matches_per_cell_scan_at_max_grid():
+    cone = cone_from_raw((2, -3, 1), (3, 2, 1), 1)
+    assert row_kernel_zeros(cone, n=MAX_GRID) == 1301
+
+
+def test_row_kernel_matches_per_cell_scan_census_slice():
+    zeros = sum(row_kernel_zeros(cone, n=5) for cone in census_cones(SLICE_STRIDE))
+    assert zeros == 2228
+
+
+def test_row_kernel_evaluates_few_columns_at_max_grid(monkeypatch):
+    # the per-cell loop would evaluate all n^2 = 1 002 001 cells
+    import taxiconics.oracle as oracle
+
+    real, counts = oracle._row_columns, []
+
+    def counting(forms, n):
+        cols = real(forms, n)
+        counts.append(len(cols))
+        return cols
+
+    monkeypatch.setattr(oracle, "_row_columns", counting)
+    n = MAX_GRID
+    report = verify_cone(cone_from_raw((2, -3, 1), (rat(3, 4), rat(-1, 2), 1), 1), OracleConfig(grid_n=n))
+    assert report["passed"] and report["grid"]["points_checked"] == n * n
+    assert len(counts) == n and sum(counts) < 12 * n, sum(counts)
