@@ -2,35 +2,36 @@
 
 The checks deliberately avoid the construction's closed forms.  Every
 residual d(x, ell) - kappa d(x, P) is read from the cone's one integer form,
-cone.residual_form (built from the distances, never from sections):
-exact_residual at the vertices; line_restriction, the form along a line,
-whose exact zeros on each active reference line b + t r_i, parametrized as
-in the construction, must be its finite vertices and which proves that each
-piece lies on the cone along its span; the grid scan, which reads each row
-of a rational grid at its ends and around the zeros of the terms and whose
-exact zeros must lie on the pieces; and the rebuild of the pieces region by
-region, which clips each zero line with geometry.clip_line, as the SVG
-writer clips its lines.  The topology of the pieces must match the class.
-No check uses floating point or random numbers; only the grid report prints
-its largest residual off the section as a float.
+cone.residual_form (built from the distances, never from sections).
+exact_residual reads it at the vertices.  line_restriction restricts it to
+a line and owns the one argument the checks rest on: along a line the
+residual is linear between its breakpoints, the zeros of the term forms and
+of the plane form.  line_zeros reads its roots and zero intervals off them.
+So the exact roots on each active reference line b + t r_i, parametrized as
+in the construction, must be its finite vertices; each piece lies on the
+cone by the residual at its ends and its breakpoints (check_piece); and the
+pieces are rebuilt as the zero intervals on the lines where a distance term
+equals |G|.  The grid scan reads each row of a rational grid at its ends
+and around the same zeros, and its exact zeros must lie on the pieces.  The
+topology of the pieces must match the class.  No check uses floating point
+or random numbers; only the grid report prints its largest residual off
+the section as a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, product
+from itertools import groupby, product
 from typing import Callable, Optional
 
-from ._rat import Rat, as_integers, rat, rat_str, sign
+from ._rat import Rat, as_integers, rat, rat_str
 from .atlas import MAX_GRID, grid_axes
 from .cones import ConeSpec, LineParams, active_indices, cone_to_json, reference_directions
 from .geometry import (
-    Line2,
     Piece,
     Point2,
     Ray,
     Segment,
-    clip_line,
     padded_box,
     piece_contains,
     piece_point_at,
@@ -54,61 +55,81 @@ DEFAULT_CONFIG = OracleConfig()
 
 
 def line_restriction(form, q: Point2, r) -> tuple[list[Rat], Callable[[Rat], int]]:
-    """The residual form restricted to the line q + t r: the sorted candidate
-    zeros, and its exact num at t.
+    """The residual form restricted to the line q + t r: its sorted
+    breakpoints, and its exact num at t.
 
     At x = (Q + t R)/e in integers, each term form T and the plane form G is
-    an integer line c + s t in t.  Between consecutive zeros of the T, of G,
-    of each S_k -/+ G and of each S_j -/+ S_k (S_k = T_k1 -/+ T_k2) every T
-    and G keeps its sign and the least |T_k1| + |T_k2| its index, so num is
-    linear between consecutive candidates.
+    an integer line c + s t in t, and num = min_k S_k - |G|, S_k = |T_k1| +
+    |T_k2| (metric.build_residual_form), is linear between consecutive zeros
+    of the T and of G, its breakpoints.  With one pair that is plain.  With
+    three, S_k is, up to one factor, the convex map t -> sum_j |n_j| |X_j/n_j
+    - t| at t_k = X_k/n_k; as no |n_j| outweighs the other two, the least is
+    at the median t_k, whose index changes where two t_j, t_k cross: where
+    T_jk = 0.  T_jk and T_kj share their zero line, so a line has at most
+    four breakpoints.
     """
     (q1, q2, r1, r2), e = as_integers((q.x1, q.x2, *r))
 
     def along(c1, c2, c3):
         return c1 * q1 + c2 * q2 + c3 * e, c1 * r1 + c2 * r2
 
-    def combos(u, v):
-        return [(u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1])]
-
-    terms = [[along(*t) for t in pair] for pair in form.terms]
-    g = along(*form.plane)
-    sums = [combos(*pair) for pair in terms]
-    lines = [t for pair in terms for t in pair] + [g]
-    lines += [w for s_k in sums for s in s_k for w in combos(s, g)]
-    lines += [w for s_j, s_k in combinations(sums, 2) for a in s_j for b in s_k for w in combos(a, b)]
+    lines = [along(*t) for pair in form.terms for t in pair] + [along(*form.plane)]
 
     def num(t: Rat) -> int:
         return form.num(q1 * t.denominator + t.numerator * r1, q2 * t.denominator + t.numerator * r2,
                         e * t.denominator)
 
-    return sorted({Rat(-c, s) for c, s in lines if s}), num
+    return [t for t, _ in groupby(sorted(Rat(-c, s) for c, s in lines if s))], num
+
+
+def line_zeros(breaks: list[Rat], num: Callable[[Rat], int]) -> tuple[list[Rat], list[tuple]]:
+    """The sorted isolated roots and the zero intervals (lo, hi) of a
+    restriction (line_restriction), None standing for an infinite end.
+
+    f(t) = num(t)/t.denominator is linear on each stretch between consecutive
+    breakpoints and on the two end stretches beyond them, so it is read at
+    each breakpoint and one step past each end (at 0 and 1 with none).  A
+    stretch zero at both its probes is a zero interval.  Else f has a root
+    inside a stretch where it changes sign, and inside an end stretch,
+    extended to infinity, also where it heads for 0 outward; the two probes
+    of an end stretch share a denominator, so num decides that in integers.
+    """
+    probes = [breaks[0] - 1, *breaks, breaks[-1] + 1] if breaks else [Rat(0), Rat(1)]
+    nums = [num(t) for t in probes]
+    roots = [t for t, m in zip(probes[1:-1], nums[1:-1]) if m == 0]
+    intervals = []
+    last = len(probes) - 2
+    for i, (a, b, m, n) in enumerate(zip(probes, probes[1:], nums, nums[1:])):
+        lo, hi = None if i == 0 else a, None if i == last else b
+        if m == n == 0:
+            intervals.append((lo, hi))
+        elif m * n < 0 or (lo is None and (n - m) * n > 0) or (hi is None and (n - m) * m < 0):
+            u, v = Rat(m, a.denominator), Rat(n, b.denominator)
+            roots.append(a + u * (b - a) / (u - v))
+    return sorted(roots), intervals
 
 
 def reference_roots(cone: ConeSpec, ref_index: int) -> tuple[list[Rat], bool]:
     """Exact roots t of d(x, ell) - kappa d(x, P) at x = b + t r_i on rho^i
-    (b = cone.line.base), and whether it is zero all along some interval: at
-    two consecutive probes, the candidates of line_restriction and one point
-    beyond each end, or two points when there is none and num is constant.
-    A root is the t = e/den of the vertex at it (sections.vertex_slot)."""
+    (b = cone.line.base), and whether it is zero all along some interval
+    (line_zeros).  A root is the t = e/den of the vertex at it
+    (sections.vertex_slot)."""
     line = cone.line
-    cands, num = line_restriction(cone.residual_form, line.base, reference_directions(line)[ref_index])
-    probes = [cands[0] - 1, *cands, cands[-1] + 1] if cands else [Rat(0), Rat(1)]
-    zero = [num(t) == 0 for t in probes]
-    roots = [t for t, z in zip(probes[1:-1], zero[1:-1]) if z]
-    return roots, any(z and w for z, w in zip(zero, zero[1:]))
+    roots, intervals = line_zeros(*line_restriction(cone.residual_form, line.base,
+                                                    reference_directions(line)[ref_index]))
+    return roots, bool(intervals)
 
 
 def check_piece(form, piece: Piece) -> tuple[int, list[Point2]]:
     """The number of probes on piece and the probes off the cone (num != 0).
 
-    num is linear between the candidates of line_restriction, so the span
+    num is linear between the breakpoints of line_restriction, so the span
     q + t d, 0 <= t <= hi, of a piece (Piece.span) lies on the cone iff num
-    is zero at t = 0, at each candidate between and at hi; for a ray, with
-    no hi, at one point past the last candidate instead."""
+    is zero at t = 0, at each breakpoint between and at hi; for a ray, with
+    no hi, at one point past the last breakpoint instead."""
     q, d, hi = piece.span
-    cands, num = line_restriction(form, q, d)
-    inner = [t for t in cands if 0 < t and (hi is None or t < hi)]
+    breaks, num = line_restriction(form, q, d)
+    inner = [t for t in breaks if 0 < t and (hi is None or t < hi)]
     probes = [Rat(0), *inner, (inner or [Rat(0)])[-1] + 1 if hi is None else hi]
     return len(probes), [piece_point_at(piece, t) for t in probes if num(t)]
 
@@ -134,71 +155,43 @@ def section_bbox(section: ConicSection) -> tuple[Rat, Rat, Rat, Rat]:
 
 
 # ---------------------------------------------------------------------------
-# independent rebuild: the zero set of the residual form, region by region
-
-
-def _clip_line(line, forms) -> Optional[Piece]:
-    """The part of {c1 x + c2 y + c0 = 0} where every form h has h >= 0.
-
-    All forms are integer triples (c1, c2, c0) at (x, y, 1), clipped by
-    geometry.clip_line along d = (-c2, c1).  Returns a Segment, a Ray, or
-    None when the part is empty or a single point.
-    """
-    c1, c2, _ = line
-    ends = clip_line(line, forms)
-    if ends is None:
-        return None
-    low, high = ends
-    if low is not None and high is not None:
-        return Segment.of(low, high)
-    if low is not None:
-        return Ray.of(low, -c2, c1)
-    if high is not None:
-        return Ray.of(high, c2, -c1)
-    raise AssertionError("section piece cannot be a full line inside a region")
+# independent rebuild: the zero set of the residual form, line by line
 
 
 def _rebuild_pieces(cone: ConeSpec) -> list[Piece]:
-    """Pieces of the section, read off cone.residual_form region by region.
+    """Pieces of the section, read off cone.residual_form line by line.
 
     On x3 = 1 the residual is min_k S_k - |G| with S_k = |T_k1| + |T_k2|, all
-    T and G linear.  The distinct zero lines of the T (the active reference
-    lines through a; a horizontal line has one, plus a constant T) cut the
-    plane into sign regions, inside which each S_k is linear.  Where S_k is
-    least (S_j - S_k >= 0) the zero set is S_k = |G|: the lines
-    S_k - sigma G = 0 clipped to those half-planes, with no constraint for
-    the side sigma G >= 0 of P^S, as sigma G = S_k >= 0 on the line.
+    T and G linear.  Where it is zero, S_k = |G| for the least k, so x lies
+    on a line e1 T_k1 + e2 T_k2 - G = 0 with e1, e2 = +/-1.  The residual
+    restricted to each such line (line_restriction) is zero on whole
+    stretches between its breakpoints (line_zeros), and each is a segment or
+    a ray: the pieces split where they cross a zero line of a T, as the
+    construction splits them at its vertices.
     """
     residual = cone.residual_form
-    lines = list(dict.fromkeys(Line2.of(*t) for pair in residual.terms for t in pair if t[0] or t[1]))
-    # each T as (index of its zero line, sign of T against that line's
-    # form), or (None, sign of T) for a constant T
-    wheres = [
-        [(lines.index(Line2.of(*t)), sign(t[0] or t[1])) if t[0] or t[1] else (None, sign(t[2])) for t in pair]
-        for pair in residual.terms
-    ]
+    pieces: set[Piece] = set()  # a line met twice adds its pieces again
+    for pair in residual.terms:
+        for e1, e2 in product((1, -1), repeat=2):
+            c1, c2, c0 = (e1 * u + e2 * v - g for u, v, g in zip(*pair, residual.plane))
+            if not (c1 or c2):
+                # no zero here: an identically zero form would force
+                # A1 a1 + A2 a2 + delta = 0, which make_cone rejects
+                continue
+            q = Point2(Rat(0), Rat(-c0, c2)) if c2 else Point2(Rat(-c0, c1), Rat(0))
 
-    def combine(coefs, forms):
-        return tuple(sum(c * f[m] for c, f in zip(coefs, forms)) for m in range(3))
+            def at(t: Rat) -> Point2:
+                return Point2(q.x1 - t * c2, q.x2 + t * c1)
 
-    pieces: set[Piece] = set()
-    for signs in product((1, -1), repeat=len(lines)):
-        region = [(s * int(g.c1), s * int(g.c2), s * int(g.c0)) for s, g in zip(signs, lines)]
-        # |T| = eps T throughout the region, so each S_k is linear there
-        sums = [
-            combine([s if i is None else s * signs[i] for i, s in ws], pair)
-            for ws, pair in zip(wheres, residual.terms)
-        ]
-        for k, s_k in enumerate(sums):
-            least = [combine((1, -1), (s_j, s_k)) for j, s_j in enumerate(sums) if j != k]
-            for sigma in (1, -1):
-                zero = combine((1, -sigma), (s_k, residual.plane))
-                if zero[0] or zero[1]:
-                    # else no zero here: an identically zero form would
-                    # force A1 a1 + A2 a2 + delta = 0, which make_cone rejects
-                    piece = _clip_line(zero, region + least)
-                    if piece is not None:
-                        pieces.add(piece)
+            for lo, hi in line_zeros(*line_restriction(residual, q, (-c2, c1)))[1]:
+                if lo is not None and hi is not None:
+                    pieces.add(Segment.of(at(lo), at(hi)))
+                elif lo is not None:
+                    pieces.add(Ray.of(at(lo), -c2, c1))
+                elif hi is not None:
+                    pieces.add(Ray.of(at(hi), c2, -c1))
+                else:
+                    raise AssertionError("section piece cannot be a full line")
     return sorted(pieces, key=piece_sort_key)
 
 
@@ -215,7 +208,9 @@ class ScanReport:
 
 def _row_columns(forms, n: int) -> list[int]:
     """The sorted columns a row is read at: 0, n - 1, and the floor of the zero
-    -c/s of each form s k + c and the column after it, inside the row."""
+    -c/s of each form s k + c and the column after it, inside the row.  The
+    residual is linear between those zeros, its breakpoints along the row
+    (line_restriction gives the argument)."""
     cols = [0, n - 1]
     for s, c in forms:
         k = -c // s if s else -1
@@ -236,14 +231,12 @@ def grid_residual_scan(
     with residual num(X, Y, D)/(den D) from cone.residual_form: num =
     min_k S_k - |G|, S_k = |T_k1| + |T_k2| (metric.build_residual_form).
     Along a row each T and G is an integer line s k + c in the column k, and
-    num is linear between consecutive zeros of the T and of G.  With one
-    pair that is plain.  With three, S_k is, up to one factor, the convex map
-    t -> sum_j |n_j| |X_j/n_j - t| at t_k = X_k/n_k; as no |n_j| outweighs
-    the other two, the least is at the median t_k, whose index changes where
-    two t_j, t_k cross: where T_jk = 0.  So a row is read at its ends and
-    around those zeros (_row_columns): its largest |num| is at one of them,
-    an interior zero between two is one exact divmod, and between two zeros
-    all columns are zeros.  Only zeros become points, checked in row order.
+    num is linear between consecutive zeros of the T and of G, as along any
+    line (line_restriction gives the argument).  So a row is read at its
+    ends and around those zeros (_row_columns): its largest |num| is at one
+    of them, an interior zero between two is one exact divmod, and between
+    two zeros all columns are zeros.  Only zeros become points, checked in
+    row order.
     """
     if section is None:
         section = build_section(cone)
@@ -302,12 +295,13 @@ def sample_piece_points(piece, count: int, rng) -> list[Point2]:
 def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     """Full verification report for one cone.
 
-    Checks vertex exactness, each piece by check_piece (its probes are
-    "piece_points_checked"), the exact roots on each active reference line
-    against its finite vertices (none missed, none extra, no zero interval;
-    "vertices_confirmed" counts the vertices so confirmed), the exact-zero
-    coverage of a padded grid scan, the pieces against their rebuild from
-    the residual form and the piece topology against the class.  The report's "violations"
+    Checks vertex exactness, each piece by check_piece (its probes, its
+    ends and the breakpoints between, are "piece_points_checked"), the exact
+    roots on each active reference line against its finite vertices (none
+    missed, none extra, no zero interval; "vertices_confirmed" counts the
+    vertices so confirmed), the exact-zero coverage of a padded grid scan,
+    the pieces against their rebuild line by line from the residual form
+    and the piece topology against the class.  The report's "violations"
     list must be empty for a pass.
     """
     section = build_section(cone)

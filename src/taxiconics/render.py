@@ -2,9 +2,9 @@
 
 Exact rational geometry is clipped to the viewport in integers before any
 float appears: pieces along their spans by geometry.clip_interval, lines by
-geometry.clip_line, as in the verifier's piece rebuild.  Rational-to-decimal
-conversion happens only here, at 12 significant digits, so identical inputs
-produce byte-identical SVG.  A raster document is streamed a row at a time.
+geometry.clip_line.  Rational-to-decimal conversion happens only here, at 12
+significant digits, so identical inputs produce byte-identical SVG.  A
+raster document is streamed a row at a time.
 """
 
 from __future__ import annotations

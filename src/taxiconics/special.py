@@ -155,7 +155,6 @@ def u_kappa_classify_check(kappa, p: Point2) -> UKappaCheck:
 
 @dataclass(frozen=True)
 class SimilarityReport:
-    similar: bool
     ratio: Rat  # signed ratio of corresponding vertex deviations
     rotated_half_turn: bool
 
@@ -182,7 +181,7 @@ def steep_line_similarity(plane: PlaneParams, kappa, a: LineParams, b: LineParam
     cone_a = make_cone(plane, a, kappa)
     cone_b = make_cone(plane, b, kappa)
     ratio = cone_a.incidence / cone_b.incidence
-    return SimilarityReport(True, ratio, ratio < 0)
+    return SimilarityReport(ratio, ratio < 0)
 
 
 def parallel_plane_kappa(plane_a: PlaneParams, plane_b: PlaneParams, kappa_a) -> Rat:

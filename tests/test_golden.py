@@ -24,7 +24,7 @@ from test_census import SLICE_STRIDE, census_cones
 from test_oracle import ACCEPTANCE_CONES
 
 GOLDEN_SHA256 = "5caafa2509ef9cd98ac84df3ca803f864bb765ec27388d8975785b551ae5facd"
-VERIFY_SHA256 = "0df042161b110406c512cbeb9d5b6b9dfb79a24645d51eaca77ce227a38cbbd0"
+VERIFY_SHA256 = "8bb0ab7c345b0cc367d96a58f119a365168d599f2bb60dc386fee7641bb08dd7"
 RASTER_SHA256 = "19a6d017e8f2c370ce2df7394b63f317c5fc3cb6b5b8d8e042f05bb376612f38"
 VIEWPORT_SHA256 = "b44382c70a7dd086a815f30a865df2a83f4f423705aabf42ab4ff7e31520cb29"
 CENSUS_SHA256 = "d71cdf68c6886cc3d0f16b3986dd9ea0550c33e90b449ac95aef4e7a5b7ac388"

@@ -284,7 +284,10 @@ def test_piece_check_catches_extended_pieces_that_sampling_misses(cone_family):
             caught += check_piece(form, bad)[1] != []
             missed += all(exact_residual(cone, p) == 0 for p in sample_piece_points(bad, 12, rng))
     assert (pieces, caught, missed) == (1797, 1797, 1797)
-    assert probes == 6382
+    # no piece holds a breakpoint: it meets the zero lines of the T only at
+    # its vertices and never touches P^S, so each piece is probed twice, at
+    # t = 0 and at hi, or one step along a ray
+    assert probes == 2 * pieces
 
 
 def test_verify_cone_reports_an_extended_piece(monkeypatch):
@@ -350,6 +353,38 @@ def test_verify_cone_reports_a_sector_rebuild_mismatch(monkeypatch):
         report = verify_cone(cone_from_raw(*raw), OracleConfig(grid_n=41))
         assert report["violations"] == ["pieces differ from the sector-by-sector rebuild"]
         assert not report["passed"]
+
+
+def test_verifier_does_not_call_the_construction(monkeypatch):
+    # the rebuild, the roots and the piece check read only the residual form:
+    # with the construction's vertex slots, relations and sections raising
+    # wherever they are bound, they return what they did before
+    import taxiconics.oracle as oracle
+    import taxiconics.sections as sections
+
+    cones = [cone_from_raw(*spec) for spec in ACCEPTANCE_CONES]
+    expected = []
+    for cone in cones:
+        section = build_section(cone)
+        checks = [check_piece(cone.residual_form, piece) for piece in section.pieces]
+        assert all(off == [] for _, off in checks)
+        expected.append((section.pieces, vertex_roots(cone), checks))
+
+    def construction(*args):
+        raise AssertionError("the verifier called the construction")
+
+    originals = [getattr(sections, name) for name in ("vertex_slot", "_relations", "build_section")]
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "taxiconics"]:
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in originals):
+                monkeypatch.setattr(module, name, construction)
+    assert oracle.build_section is construction
+    with pytest.raises(AssertionError, match="called the construction"):
+        sections.build_section(cones[0])
+    for cone, (pieces, roots, checks) in zip(cones, expected):
+        assert oracle._rebuild_pieces(cone) == pieces
+        assert active_roots(cone) == roots
+        assert [check_piece(cone.residual_form, piece) for piece in pieces] == checks
 
 
 def test_verify_cone_reports_pieces_that_form_no_conic(monkeypatch):

@@ -1,10 +1,12 @@
 """cone.residual_form against the Fraction reference d(x, ell) - kappa d(x, P).
 
 exact_residual, the grid scan and reference_roots all read the form; reference_residual (conftest) computes the two distances with
-metric.dist_to_line and metric.dist_to_plane instead.
+metric.dist_to_line and metric.dist_to_plane instead.  The reference is also
+linear between the breakpoints oracle.line_restriction gives on a line.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,11 +17,13 @@ from taxiconics import build_section, cone_from_raw, cone_to_json, point2, point
 from taxiconics._rat import Rat
 from taxiconics.cones import reference_directions
 from taxiconics.errors import DegenerateCone, ZeroVector
-from taxiconics.geometry import Point2
+from taxiconics.geometry import Point2, Segment
 from taxiconics.metric import wedge_index
 from taxiconics.oracle import (
     OracleConfig,
+    check_piece,
     exact_residual,
+    line_restriction,
     reference_roots,
     sample_piece_points,
     verify_cone,
@@ -161,6 +165,93 @@ def test_form_matches_reference_hypothesis(plane, line, kappa, points, t):
     for i in reference_directions(cone.line):
         p = _on_reference_line(cone, i, Rat(t))
         assert exact_residual(cone, p) == reference_residual(cone, p)
+
+
+# ---------------------------------------------------------------------------
+# the restriction to a line: linear between its breakpoints
+
+
+def _lines(cone, rng):
+    """Lines (q, r) of the slicing plane, q + t r: two random rational ones,
+    the reference lines rho^i and the spans of the section's pieces."""
+    out = [(Point2(rnd_rat(rng), rnd_rat(rng)), (rnd_rat(rng), rnd_rat(rng))) for _ in range(2)]
+    out = [(q, r) for q, r in out if any(r)]
+    out += [(cone.line.base, r) for r in reference_directions(cone.line).values()]
+    return out + [piece.span[:2] for piece in build_section(cone).pieces]
+
+
+def _stretches(breaks):
+    """The stretches (a, b) between consecutive breakpoints, and the two end
+    stretches, cut off w = 3 (1 + last - first breakpoint) beyond the outer
+    breakpoints; with no breakpoint, one long stretch."""
+    if not breaks:
+        return [(Rat(-7), Rat(11))]
+    w = 3 * (1 + breaks[-1] - breaks[0])
+    ends = [breaks[0] - w, *breaks, breaks[-1] + w]
+    return list(zip(ends, ends[1:]))
+
+
+def _chords(section):
+    """The chord v-z of each two segments v-w, w-z of the section."""
+    segments = [piece for piece in section.pieces if isinstance(piece, Segment)]
+    for one, two in combinations(segments, 2):
+        shared = set(one.ends) & set(two.ends)
+        if shared:
+            (v,), (z,) = set(one.ends) - shared, set(two.ends) - shared
+            yield Segment.of(v, z)
+
+
+def _assert_linear_between_breakpoints(cone, rng) -> tuple[int, int]:
+    """On each of _lines, the reference residual at 1/2 and 1/3 of the way
+    along each stretch is the linear interpolation of its ends; and
+    check_piece rejects each of _chords.  Returns the two counts."""
+    form = cone.residual_form
+    stretches = chords = 0
+    for q, (r1, r2) in _lines(cone, rng):
+        breaks, _ = line_restriction(form, q, (r1, r2))
+        assert len(breaks) <= 4
+
+        def f(t):
+            return reference_residual(cone, Point2(q.x1 + t * r1, q.x2 + t * r2))
+
+        for a, b in _stretches(breaks):
+            fa, fb = f(a), f(b)
+            for s in (Rat(1, 2), Rat(1, 3)):
+                assert f(a + s * (b - a)) == fa + s * (fb - fa), (cone_to_json(cone), q, (r1, r2), a, b)
+            stretches += 1
+    for chord in _chords(build_section(cone)):
+        assert check_piece(form, chord)[1], (cone_to_json(cone), chord)
+        chords += 1
+    return stretches, chords
+
+
+def test_reference_is_linear_between_breakpoints(cone_family):
+    # family cones (horizontal defining lines among them), cones with a
+    # vertex at infinity, and horizontal defining lines alone
+    cones = (cone_family[:150] + random_vertex_at_infinity_cones(100, 20240811)
+             + _horizontal_line_cones(60, 7))
+    rng = random.Random(11)
+    stretches = chords = 0
+    for cone in cones:
+        s, c = _assert_linear_between_breakpoints(cone, rng)
+        stretches += s
+        chords += c
+    assert (stretches, chords) == (11665, 301)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.tuples(rationals, rationals, st.sampled_from([0, 1])),
+    st.tuples(rationals, rationals, st.sampled_from([0, 1])),
+    st.builds(rat, st.integers(1, 12), st.integers(1, 6)),
+    st.integers(0, 2**32),
+)
+def test_reference_is_linear_between_breakpoints_hypothesis(plane, line, kappa, seed):
+    try:
+        cone = cone_from_raw(plane, line, kappa)
+    except (DegenerateCone, ZeroVector):
+        assume(False)
+    _assert_linear_between_breakpoints(cone, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
