@@ -17,7 +17,7 @@ Rat = Fraction
 
 RatLike = Union[int, str, Fraction]
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+_RAT_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")
 
 
 def rat(value: RatLike, den: int | None = None) -> Rat:

@@ -11,6 +11,7 @@ integers; clip_line feeds it a line given by its equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Optional, Union
 
@@ -223,9 +224,10 @@ class Segment:
             p, q = q, p
         return Segment(p, q)
 
-    @property
+    @cached_property
     def span(self) -> tuple:
-        """(q, d, hi): the segment is q + t d for 0 <= t <= hi."""
+        """(q, d, hi): the segment is q + t d for 0 <= t <= hi; built once
+        per segment and, not being a field, ignored by ==, hash and repr."""
         return self.a, self.b - self.a, 1
 
     @property

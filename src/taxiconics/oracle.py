@@ -3,19 +3,19 @@
 The checks deliberately avoid the construction's closed forms.  Every
 residual d(x, ell) - kappa d(x, P) is read from the cone's one integer form,
 cone.residual_form (built from the distances, never from sections).
-exact_residual reads it at the vertices.  line_restriction restricts it to
-a line and owns the one argument the checks rest on: along a line the
-residual is linear between its breakpoints, the zeros of the term forms and
-of the plane form.  line_zeros reads its roots and zero intervals off them.
-So the exact roots on each active reference line b + t r_i, parametrized as
-in the construction, must be its finite vertices; each piece lies on the
-cone by the residual at its ends and its breakpoints (check_piece); and the
-pieces are rebuilt as the zero intervals on the lines where a distance term
-equals |G|.  The grid scan reads each row of a rational grid at its ends
-and around the same zeros, and its exact zeros must lie on the pieces.  The
-topology of the pieces must match the class.  No check uses floating point
-or random numbers; only the grid report prints its largest residual off
-the section as a float.
+line_restriction restricts it to a line and owns the one argument the
+checks rest on: along a line the residual is linear between its
+breakpoints, the zeros of the term forms and of the plane form.  line_zeros
+reads its roots and zero intervals off them.  So the points b + t r_i at the
+exact roots t on each active reference line must be its finite vertices,
+which puts every vertex on its line and on the cone in one check; each
+piece lies on the cone by the residual at its ends and its breakpoints
+(check_piece); and the pieces are rebuilt as the zero intervals on the
+lines where a distance term equals |G|.  The grid scan reads each row of a
+rational grid at its ends and around the same zeros, and its exact zeros
+must lie on the pieces.  The topology of the pieces must match the class.
+No check uses floating point or random numbers; only the grid report
+prints its largest residual off the section as a float.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from ._rat import Rat, as_integers, rat, rat_str
 from .atlas import MAX_GRID, grid_axes
-from .cones import ConeSpec, LineParams, active_indices, cone_to_json, reference_directions
+from .cones import ConeSpec, active_indices, cone_to_json, reference_directions
 from .geometry import (
     Piece,
     Point2,
@@ -139,7 +139,8 @@ def exact_residual(cone: ConeSpec, p: Point2) -> Rat:
 
     p is written as (X/D, Y/D) in integers and read by cone.residual_form;
     metric.dist_to_line and metric.dist_to_plane are the reference the tests
-    compare it with.
+    compare it with.  No src/ code calls it; the perfbench oracle workload
+    and the tests do.
     """
     (x, y), d = as_integers((p.x1, p.x2))
     form = cone.residual_form
@@ -295,22 +296,18 @@ def sample_piece_points(piece, count: int, rng) -> list[Point2]:
 def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     """Full verification report for one cone.
 
-    Checks vertex exactness, each piece by check_piece (its probes, its
-    ends and the breakpoints between, are "piece_points_checked"), the exact
-    roots on each active reference line against its finite vertices (none
-    missed, none extra, no zero interval; "vertices_confirmed" counts the
-    vertices so confirmed), the exact-zero coverage of a padded grid scan,
-    the pieces against their rebuild line by line from the residual form
-    and the piece topology against the class.  The report's "violations"
-    list must be empty for a pass.
+    Checks each piece by check_piece (its probes, its ends and the
+    breakpoints between, are "piece_points_checked"), the points b + t r_i
+    at the exact roots t on each active reference line against its finite
+    vertices as points (none missed, none extra, none off the line, no zero
+    interval; so every vertex is on the cone, and "vertices_confirmed"
+    counts the vertices so confirmed), the exact-zero coverage of a padded
+    grid scan, the pieces against their rebuild line by line from the
+    residual form and the piece topology against the class.  The report's
+    "violations" list must be empty for a pass.
     """
     section = build_section(cone)
     violations: list[str] = []
-
-    finite_vertices = [v for v in section.vertices if v.location.is_finite]
-    for v in finite_vertices:
-        if exact_residual(cone, v.location.point) != 0:
-            violations.append(f"vertex {v.label} violates the cone equation")
 
     probes = 0
     for piece in section.pieces:
@@ -318,25 +315,30 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
         probes += count
         violations += [f"piece point ({rat_str(p.x1)}, {rat_str(p.x2)}) has nonzero residual" for p in off]
 
-    confirmed = 0
-    for i in active_indices(cone.line):
+    finite_vertices = [v for v in section.vertices if v.location.is_finite]
+    active, confirmed = active_indices(cone.line), 0
+    (b1, b2), directions = cone.line.base, reference_directions(cone.line)
+    for i in active:
         roots, interval = reference_roots(cone, i)
-        params = sorted(_vertex_parameter(cone.line, v) for v in finite_vertices if v.ref_index == i)
+        r1, r2 = directions[i]
+        on_line = sorted(tuple(v.location.point) for v in finite_vertices if v.ref_index == i)
         if interval:
             violations.append(f"the residual is zero on an interval of rho^{i}")
-        elif roots != params:
+        elif sorted((b1 + t * r1, b2 + t * r2) for t in roots) != on_line:
             violations.append(
-                f"roots t = [{', '.join(map(rat_str, roots))}] on rho^{i} are not its "
-                f"finite vertices at t = [{', '.join(map(rat_str, params))}]"
+                f"roots t = [{', '.join(map(rat_str, roots))}] on rho^{i} are not its finite vertices "
+                f"at [{', '.join(f'({rat_str(x1)}, {rat_str(x2)})' for x1, x2 in on_line)}]"
             )
         else:
-            confirmed += len(params)
+            confirmed += len(on_line)
+    violations += [f"vertex {v.label} is on no active reference line" for v in finite_vertices
+                   if v.ref_index not in active]
 
     scan = grid_residual_scan(cone, section, cfg=cfg)
     violations.extend(scan.violations)
 
     if _rebuild_pieces(cone) != section.pieces:
-        violations.append("pieces differ from the sector-by-sector rebuild")
+        violations.append("pieces differ from their rebuild from the residual form")
     try:
         topology = section_topology(section.pieces)
     except ValueError:
@@ -354,10 +356,3 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
         "violations": violations,
         "passed": not violations,
     }
-
-
-def _vertex_parameter(line: LineParams, v) -> Rat:
-    """Parameter t of a finite vertex v at line.base + t r_i on rho^i,
-    i = v.ref_index: the t = e/den of sections.vertex_slot."""
-    (b1, b2), (r1, r2), p = line.base, reference_directions(line)[v.ref_index], v.location.point
-    return ((p.x1 - b1) * r1 + (p.x2 - b2) * r2) / (r1 * r1 + r2 * r2)

@@ -26,6 +26,7 @@ as an independent check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -410,41 +411,28 @@ def build_section(cone: ConeSpec) -> ConicSection:
 
 def section_topology(pieces: list[Piece]) -> str:
     """Topological class of a piece set: closed polygon, one unbounded
-    component, or two components."""
+    component, or two components.  The components are those of the piece
+    ends, joined by each piece."""
     parent: dict = {}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(p):
+        parent.setdefault(p, p)
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
 
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    endpoint_degree: dict = {}
-    for k, piece in enumerate(pieces):
-        node = ("piece", k)
-        parent.setdefault(node, node)
-        for p in piece.ends:
-            union(node, ("pt", p))
-            endpoint_degree[p] = endpoint_degree.get(p, 0) + 1
-    roots = {find(("piece", k)) for k in range(len(pieces))}
-    n_components = len(roots)
-    has_ray = {root: False for root in roots}
-    for k, piece in enumerate(pieces):
-        if piece.span[2] is None:
-            has_ray[find(("piece", k))] = True
+    for first, *rest in (piece.ends for piece in pieces):
+        for p in rest:
+            parent[find(p)] = find(first)
+    degree = Counter(p for piece in pieces for p in piece.ends)
+    n_components = len({find(p) for p in degree})
     if n_components == 2:
         return HYPERBOLA
     if n_components == 1:
-        if any(has_ray.values()):
+        if any(piece.span[2] is None for piece in pieces):
             return PARABOLA
-        if all(deg == 2 for deg in endpoint_degree.values()):
+        if all(deg == 2 for deg in degree.values()):
             return ELLIPSE
     raise ValueError(f"piece set is not a conic section topology ({n_components} components)")
 

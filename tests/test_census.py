@@ -5,8 +5,8 @@ Small parameters make the exact equalities that the classification turns
 on common: parabolas, vertices at infinity and transitional lines are each
 a tenth or more of the census, against a few percent of the random
 families.  On every census cone the pieces equal their rebuild from the
-residual form, their topology is the class, the exact roots on each
-active reference line are its finite vertices, every piece passes the
+residual form, their topology is the class, the points at the exact roots
+on each active reference line are its finite vertices, every piece passes the
 exact piece check (oracle.check_piece), and the vertex relations equal
 their geometric reference.  The shapes of the sections (class, numbers of
 segments and rays, vertices at infinity) are pinned: CENSUS_SHAPES for the
@@ -27,10 +27,10 @@ from collections import Counter
 from itertools import product
 
 from taxiconics import build_section, cone_from_raw, cone_to_json, rat, section_topology
-from taxiconics.cones import active_indices
+from taxiconics.cones import active_indices, reference_directions
 from taxiconics.errors import DegenerateCone, ZeroVector
 from taxiconics.geometry import Segment
-from taxiconics.oracle import _rebuild_pieces, _vertex_parameter, check_piece, reference_roots
+from taxiconics.oracle import _rebuild_pieces, check_piece, reference_roots
 
 from relations_reference import relations_agree
 
@@ -108,10 +108,13 @@ def census_failures(cone, section) -> tuple:
         topology = "no conic"
     if topology != section.klass:
         failed.append("topology")
+    b, directions = cone.line.base, reference_directions(cone.line)
     for i in active_indices(cone.line):
-        params = sorted(_vertex_parameter(cone.line, v) for v in section.vertices
+        r1, r2 = directions[i]
+        points = sorted(tuple(v.location.point) for v in section.vertices
                         if v.location.is_finite and v.ref_index == i)
-        if reference_roots(cone, i) != (params, False):
+        roots, interval = reference_roots(cone, i)
+        if interval or sorted((b.x1 + t * r1, b.x2 + t * r2) for t in roots) != points:
             failed.append(f"roots on rho^{i}")
     if any(check_piece(cone.residual_form, piece)[1] for piece in section.pieces):
         failed.append("pieces")

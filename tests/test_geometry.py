@@ -120,6 +120,15 @@ def test_segment_canonical_order():
     assert Segment.of(point2(2, 0), point2(0, 0)) == Segment.of(point2(0, 0), point2(2, 0))
 
 
+def test_segment_span_is_stored_once_and_invisible_in_its_value():
+    seg, twin = Segment.of(point2(2, 0), point2(0, 1)), Segment.of(point2(2, 0), point2(0, 1))
+    before = (repr(seg), hash(seg), seg.to_json())
+    assert seg.span is seg.span == (point2(0, 1), point2(2, -1), 1)
+    assert "span" in vars(seg) and "span" not in vars(twin)
+    assert (repr(seg), hash(seg), seg.to_json()) == before
+    assert seg == twin and hash(seg) == hash(twin) and repr(seg) == repr(twin)
+
+
 def reference_clip(origin, direction, forms, lo, hi):
     """clip_interval with the parameter bounds as Fractions, each end solved
     from its form on its own."""

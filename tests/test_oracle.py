@@ -14,11 +14,10 @@ from taxiconics import build_section, cone_from_raw, point2, point3, rat, rat_st
 from taxiconics.atlas import MAX_GRID, grid_axes
 from taxiconics.cones import active_indices, reference_directions
 from taxiconics.errors import DegenerateCone, ZeroVector
-from taxiconics.geometry import Point2, Ray, Segment, piece_contains, piece_point_at
+from taxiconics.geometry import ExtendedPoint, Point2, Ray, Segment, piece_contains, piece_point_at
 from taxiconics.oracle import (
     OracleConfig,
     ScanReport,
-    _vertex_parameter,
     check_piece,
     exact_residual,
     grid_residual_scan,
@@ -27,7 +26,7 @@ from taxiconics.oracle import (
     section_bbox,
     verify_cone,
 )
-from taxiconics.sections import finite_points
+from taxiconics.sections import Vertex, finite_points
 
 from conftest import random_vertex_at_infinity_cones, reference_residual
 from float_reference import linspace, numeric_dist_to_line
@@ -100,9 +99,15 @@ def active_roots(cone) -> dict:
 
 def vertex_roots(cone) -> dict:
     """What active_roots must be: on each active rho^i the sorted parameters
-    t of the section's finite vertices there, and no zero interval."""
-    finite = [v for v in build_section(cone).vertices if v.location.is_finite]
-    return {i: (sorted(_vertex_parameter(cone.line, v) for v in finite if v.ref_index == i), False)
+    t of the section's finite vertices there, projected onto b + t r_i, and
+    no zero interval."""
+    b, finite = cone.line.base, [v for v in build_section(cone).vertices if v.location.is_finite]
+
+    def parameter(v):
+        (r1, r2), p = reference_directions(cone.line)[v.ref_index], v.location.point
+        return ((p.x1 - b.x1) * r1 + (p.x2 - b.x2) * r2) / (r1 * r1 + r2 * r2)
+
+    return {i: (sorted(parameter(v) for v in finite if v.ref_index == i), False)
             for i in active_indices(cone.line)}
 
 
@@ -210,6 +215,42 @@ def test_verify_cone_reports_a_dropped_vertex(monkeypatch):
             assert f"on rho^{v.ref_index} are not its finite vertices" in report["violations"][0]
             dropped += 1
     assert dropped == 7
+
+
+def test_verify_cone_reports_a_vertex_slid_off_its_line(monkeypatch):
+    # FIG8's v2- slid from (3/2, -25/14) along its link ray, the piece based
+    # there, to (5/2, -25/14): still on the cone, but no longer on rho^2, so
+    # no longer the point at its root
+    import taxiconics.oracle as oracle
+
+    cone = cone_from_raw(*FIG8)
+    section = build_section(cone)
+    v = next(v for v in section.vertices if v.label == "v2-")
+    assert v.location.point == point2("3/2", "-25/14")
+    slid = point2("5/2", "-25/14")
+    assert Ray(v.location.point, point2(1, 0)) in section.pieces and reference_residual(cone, slid) == 0
+    broken = dataclasses.replace(section, vertices=[
+        dataclasses.replace(w, location=ExtendedPoint.finite(slid)) if w is v else w for w in section.vertices])
+    monkeypatch.setattr(oracle, "build_section", lambda c: broken)
+    report = verify_cone(cone, OracleConfig(grid_n=41))
+    assert report["violations"] == [
+        "roots t = [-39/14, 13/2] on rho^2 are not its finite vertices at [(3/2, 15/2), (5/2, -25/14)]"
+    ]
+    assert report["vertices_checked"] == 5 and report["vertices_confirmed"] == 3
+
+
+def test_verify_cone_reports_a_vertex_on_an_inactive_line(monkeypatch):
+    # a finite vertex on rho^3 of a cone whose active pair is (1, 2) is
+    # checked by no root of an active line: it is reported on its own
+    import taxiconics.oracle as oracle
+
+    cone = next(c for c in (cone_from_raw(*spec) for spec in ACCEPTANCE_CONES) if active_indices(c.line) == [1, 2])
+    section = build_section(cone)
+    stray = Vertex(3, 1, ExtendedPoint.finite(point2(0, 0)))
+    broken = dataclasses.replace(section, vertices=[*section.vertices, stray])
+    monkeypatch.setattr(oracle, "build_section", lambda c: broken)
+    report = verify_cone(cone, OracleConfig(grid_n=3))
+    assert report["violations"] == ["vertex v3+ is on no active reference line"]
 
 
 def flipped_forms(form):
@@ -343,7 +384,7 @@ def test_verify_cone_horizontal():
     assert report["vertices_confirmed"] == report["vertices_checked"]
 
 
-def test_verify_cone_reports_a_sector_rebuild_mismatch(monkeypatch):
+def test_verify_cone_reports_a_rebuild_mismatch(monkeypatch):
     import taxiconics.oracle as oracle
 
     real = oracle._rebuild_pieces
@@ -351,7 +392,7 @@ def test_verify_cone_reports_a_sector_rebuild_mismatch(monkeypatch):
     # FIG11 has a horizontal defining line, which the rebuild covers too
     for raw in (FIG8, FIG11):
         report = verify_cone(cone_from_raw(*raw), OracleConfig(grid_n=41))
-        assert report["violations"] == ["pieces differ from the sector-by-sector rebuild"]
+        assert report["violations"] == ["pieces differ from their rebuild from the residual form"]
         assert not report["passed"]
 
 

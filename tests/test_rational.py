@@ -25,7 +25,7 @@ def test_parse_rejects_zero_denominator():
         parse_rat("3/0")
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "a/b", "1/2/3", "2 / 3"])
+@pytest.mark.parametrize("bad", ["", "1.5", "a/b", "1/2/3", "2 / 3", "\u0663/4", "\uff13", "1/\uff12"])
 def test_parse_rejects_junk(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)

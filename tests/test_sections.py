@@ -369,6 +369,17 @@ def test_fig11_section_is_four_rays():
     assert section_topology(section.pieces) == "hyperbola"
 
 
+def test_section_topology_refuses_an_open_chain_and_three_components():
+    # two segments meeting at one end: one bounded component whose two free
+    # ends have degree 1, neither closed nor unbounded
+    chain = [Segment.of(point2(0, 0), point2(1, 0)), Segment.of(point2(1, 0), point2(1, 1))]
+    with pytest.raises(ValueError, match=r"\(1 components\)"):
+        section_topology(chain)
+    apart = [Segment.of(point2(k, 0), point2(k, 1)) for k in range(3)]
+    with pytest.raises(ValueError, match=r"\(3 components\)"):
+        section_topology(apart)
+
+
 def test_classify_fig10_panels():
     plane = (rat(2, 3), rat(1, 5), 1)
     assert classify(cone_from_raw(plane, (rat(9, 10), rat(9, 10), 1), 1)) == "ellipse"
