@@ -5,14 +5,16 @@ Both sweeps are exact integer kernels that build each raster row from its
 runs of equal letters.  Each grid axis is written once as integers over one
 common denominator.  After clearing denominators, the characterizing-strip
 tests of `sections.classify` (the four unit-diamond corners and a against
-|A1 x1 + A2 x2| < M/kappa) and the U_kappa tests of
-`special.u_kappa_position` are compares of Python ints, which cannot
-overflow.  Along one row a class changes only where the row crosses a line
-or circle bounding a region, so a row costs a handful of compares, not one
-per cell: `atlas_sweep` finds its few run ends by floor division and
+|A1 x1 + A2 x2| < M/kappa) and `u_kappa_side`, the one U_kappa rule (which
+`special.u_kappa_position` also reads), are compares of Python ints, which
+cannot overflow.  Along one row a class changes only where the row crosses
+a line or circle bounding a region, so a row costs a handful of compares,
+not one per cell: `atlas_sweep` finds its few run ends by floor division and
 `ukappa_sweep` by bisection on half-rows, along which every compare is
 monotone.  The per-cell integer kernels and per-cell `classify` stay in the
-tests as the references the row kernels are compared with.
+tests as the references the row kernels are compared with, and the literal
+square-disk-petal membership in tests/ukappa_reference.py is the reference
+for `u_kappa_side`.
 """
 
 from __future__ import annotations
@@ -107,9 +109,10 @@ def atlas_sweep(plane: PlaneParams, kappa, n: int, bbox=DEFAULT_BBOX) -> list[st
     return rows
 
 
-def _u_kappa_side(r: int, m: int, d: int, kp: int, kq: int) -> int:
+def u_kappa_side(r: int, m: int, d: int, kp: int, kq: int) -> int:
     """Side of U_kappa (-1 inside, 0 on the boundary, 1 outside) of the point
-    (X, Y)/d with r = X^2 + Y^2 and m = max(|X|, |Y|), for kappa = kp/kq.
+    (X, Y)/d with r = X^2 + Y^2 and m = max(|X|, |Y|), for kappa = kp/kq:
+    the one U_kappa rule, for ukappa_sweep and special.u_kappa_position.
 
     kappa >= 1: the open square max(|x|, |y|) < 1/kappa cut by the disk
     x^2 + y^2 < 1/kappa.  kappa < 1: the union of that disk and the four
@@ -147,11 +150,12 @@ def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
     r = X^2 + Y^2.  The cell's class is
     actual = max(side(m kp, M kq), side(r kp, M kq d)).
 
-    A row is built from runs.  On each side of X = 0 the class and the
-    prediction `_u_kappa_side` are both nondecreasing in t = |X|, so a
-    stretch of a half-row whose two ends give the same pair is one run, and
-    `_bisect_runs` finds where the runs end.  With a = |Y| fixed, each
-    compare is the sign of a function continuous in t, and none falls:
+    The prediction is the U_kappa rule `u_kappa_side`.  A row is built from
+    runs.  On each side of X = 0 the class and the prediction are both
+    nondecreasing in t = |X|, so a stretch of a half-row whose two ends give
+    the same pair is one run, and `_bisect_runs` finds where the runs end.
+    With a = |Y| fixed, each compare is the sign of a function continuous in
+    t, and none falls:
     - t <= a: m = a and M = max(a, d) are fixed, and r grows;
     - a < t <= d: m = t and M = d, and every compare grows with t;
     - t > max(a, d): m = M = t, so side(m kp, M kq) = side(kp, kq) is fixed,
@@ -184,7 +188,7 @@ def ukappa_sweep(kappa, n: int, bbox=DEFAULT_BBOX):
             r = x * x + yy
             edge = (m if m > d else d) * kq
             actual = max(_side(m * kp, edge), _side(r * kp, edge * d))
-            return actual, _u_kappa_side(r, m, d, kp, kq)
+            return actual, u_kappa_side(r, m, d, kp, kq)
 
         starts = runs_at.setdefault(ay, [])
         if not starts:

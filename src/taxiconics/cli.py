@@ -16,7 +16,7 @@ from .atlas import DEFAULT_BBOX, MAX_GRID, atlas_sweep, ukappa_sweep
 from .cones import cone_from_json, normalize_plane
 from .errors import TaxiconicsError
 from .oracle import OracleConfig, verify_cone
-from .render import _check_width, render_section, write_raster
+from .render import check_width, render_section, write_raster
 from .sections import build_section, classify, section_from_json, section_to_json
 
 
@@ -84,7 +84,7 @@ def _cmd_atlas(args) -> int:
     plane = normalize_plane(_split(args.plane, "A1,A2,A3"))
     bbox = _split(args.bbox, "x0,y0,x1,y1")
     kappa = rat(args.kappa)
-    _check_width(args.width)
+    check_width(args.width)
     rows = atlas_sweep(plane, kappa, args.grid, bbox)
     payload = {
         "plane": plane.to_json(),
@@ -101,7 +101,7 @@ def _cmd_atlas(args) -> int:
 def _cmd_ukappa(args) -> int:
     bbox = _split(args.bbox, "x0,y0,x1,y1")
     kappa = rat(args.kappa)
-    _check_width(args.width)
+    check_width(args.width)
     rows, bad = ukappa_sweep(kappa, args.grid, bbox)
     payload = {
         "kappa": rat_str(kappa),

@@ -168,7 +168,8 @@ def _rebuild_pieces(cone: ConeSpec) -> list[Piece]:
     restricted to each such line (line_restriction) is zero on whole
     stretches between its breakpoints (line_zeros), and each is a segment or
     a ray: the pieces split where they cross a zero line of a T, as the
-    construction splits them at its vertices.
+    construction splits them at its vertices.  No section holds a whole
+    line, so a line that is zero end to end raises ValueError.
     """
     residual = cone.residual_form
     pieces: set[Piece] = set()  # a line met twice adds its pieces again
@@ -192,7 +193,7 @@ def _rebuild_pieces(cone: ConeSpec) -> list[Piece]:
                 elif hi is not None:
                     pieces.add(Ray.of(at(hi), c2, -c1))
                 else:
-                    raise AssertionError("section piece cannot be a full line")
+                    raise ValueError(f"the residual is zero on the whole line {c1, c2, c0}")
     return sorted(pieces, key=piece_sort_key)
 
 
@@ -337,8 +338,11 @@ def verify_cone(cone: ConeSpec, cfg: OracleConfig = DEFAULT_CONFIG) -> dict:
     scan = grid_residual_scan(cone, section, cfg=cfg)
     violations.extend(scan.violations)
 
-    if _rebuild_pieces(cone) != section.pieces:
-        violations.append("pieces differ from their rebuild from the residual form")
+    try:
+        if _rebuild_pieces(cone) != section.pieces:
+            violations.append("pieces differ from their rebuild from the residual form")
+    except ValueError as err:
+        violations.append(str(err))
     try:
         topology = section_topology(section.pieces)
     except ValueError:

@@ -18,7 +18,7 @@ from .geometry import Line2, Point2, clip_interval, clip_line, padded_box
 from .sections import ConicSection, finite_points
 
 
-def _check_width(width: int):
+def check_width(width: int):
     if width < 1:
         raise ValueError(f"width must be at least 1 pixel, got {width}")
 
@@ -100,7 +100,7 @@ def render_section(section: ConicSection, viewport=None, width: int = 480) -> st
     emitted (outside the viewBox they are simply not visible), so a
     non-overlapping viewport still yields a valid document with markers only.
     """
-    _check_width(width)
+    check_width(width)
     canvas = _Canvas(default_viewport(section) if viewport is None else viewport, width)
     body: list[str] = []
     for _, g, _active in section.ref_lines:
@@ -142,7 +142,7 @@ def raster_chunks(rows: list[str], bbox, kappa=None, width: int = 480) -> Iterat
     and square whose arrangement bounds the ellipse region U_kappa of the
     perpendicular case.  Every check runs before the first chunk is yielded.
     """
-    _check_width(width)
+    check_width(width)
     n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
     if n_cols == 0 or any(len(row) != n_cols for row in rows):
         raise ValueError(

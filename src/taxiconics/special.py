@@ -1,12 +1,18 @@
 """Special families: horizontal defining plane, perpendicular cones,
-similarity redundancies, and the focus-directrix comparison."""
+similarity redundancies, and the focus-directrix comparison.
+
+The perpendicular case reads its region U_kappa from one rule,
+atlas.u_kappa_side, shared with ukappa_sweep; the literal square, disk and
+petal-disk tests are kept in tests/ukappa_reference.py as its reference.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Rat, rat, rat_str
+from ._rat import Rat, as_integers, rat, rat_str
+from .atlas import u_kappa_side
 from .cones import (
     BOUNDARY,
     INSIDE,
@@ -76,41 +82,13 @@ def horizontal_plane_section(line: LineParams, kappa) -> tuple[ConicSection, str
 def u_kappa_position(kappa, p: Point2) -> str:
     """Exact membership of p in U_kappa / its boundary / its complement.
 
-    All Euclidean disk tests compare squared radii, so rational points are
-    decided exactly; the radius 1/sqrt(kappa) only enters as the squared
-    value 1/kappa.
+    p is written as (X, Y)/d in integers and decided by atlas.u_kappa_side,
+    the U_kappa rule that ukappa_sweep runs on every raster cell.
     """
     kappa = positive_kappa(kappa)
-    x, y = p.x1, p.x2
-    rr = x * x + y * y
-    if kappa >= 1:
-        # open square of half-width 1/kappa cut by the disk of radius 1/sqrt(kappa)
-        k1 = 1 / kappa
-        in_sq = max(abs(x), abs(y)) < k1
-        on_sq = max(abs(x), abs(y)) == k1
-        in_disk = rr < k1
-        on_disk = rr == k1
-        if in_sq and in_disk:
-            return INSIDE
-        if (in_sq or on_sq) and (in_disk or on_disk):
-            return BOUNDARY
-        return OUTSIDE
-    # kappa < 1: union of four petal disks and the central disk
-    r = 1 / (2 * kappa)
-    rr_petal = r * r
-    rr_center = 1 / kappa
-    centers = ((r, rat(0)), (-r, rat(0)), (rat(0), r), (rat(0), -r))
-    inside = rr < rr_center
-    closure = rr <= rr_center
-    for cx, cy in centers:
-        dd = (x - cx) ** 2 + (y - cy) ** 2
-        inside = inside or dd < rr_petal
-        closure = closure or dd <= rr_petal
-    if inside:
-        return INSIDE
-    if closure:
-        return BOUNDARY
-    return OUTSIDE
+    (x, y), d = as_integers((p.x1, p.x2))
+    side = u_kappa_side(x * x + y * y, max(abs(x), abs(y)), d, kappa.numerator, kappa.denominator)
+    return (INSIDE, BOUNDARY, OUTSIDE)[1 + side]
 
 
 _EXPECTED = {INSIDE: ELLIPSE, BOUNDARY: PARABOLA, OUTSIDE: HYPERBOLA}

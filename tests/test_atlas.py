@@ -1,9 +1,14 @@
 """The row-run sweep kernels against two references: the scalar rational
-one (per-cell classify for atlas_sweep, special.u_kappa_check for
-ukappa_sweep) and the per-cell integer kernels kept here, which decide every
-cell on its own with the same integer compares."""
+one (per-cell classify for atlas_sweep; for ukappa_sweep the per-cell class
+of special.u_kappa_check against the literal square-disk-petal membership
+of ukappa_reference.py) and the per-cell integer kernels kept here, which
+decide every cell on its own with the same integer compares.  The U_kappa
+rule itself, atlas.u_kappa_side behind special.u_kappa_position, is
+compared with the literal membership on every raster cell of this file."""
 
 import random
+from collections import Counter
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +19,10 @@ from taxiconics import atlas
 from taxiconics.atlas import DEFAULT_BBOX, MAX_GRID, atlas_sweep, ukappa_sweep
 from taxiconics.errors import DegenerateCone, NonPositiveKappa, ZeroVector
 from taxiconics.geometry import Point2
-from taxiconics.special import u_kappa_check
+from taxiconics.special import u_kappa_check, u_kappa_position
 
 from conftest import random_kappa, random_plane_triple, rnd_rat
+from ukappa_reference import PREDICTED_CLASS, reference_position
 
 LETTER = {"ellipse": "E", "parabola": "P", "hyperbola": "H"}
 
@@ -46,11 +52,11 @@ def reference_ukappa(kappa, n, bbox):
     for y in grid(y0, y1, n):
         row = ""
         for x in grid(x0, x1, n):
-            check = u_kappa_check(kappa, Point2(x, y))
-            row += LETTER[check.actual]
-            if not check.consistent:
-                bad.append({"A": [rat_str(x), rat_str(y)],
-                            "expected": check.expected, "actual": check.actual})
+            p = Point2(x, y)
+            actual, expected = u_kappa_check(kappa, p).actual, PREDICTED_CLASS[reference_position(kappa, p)]
+            row += LETTER[actual]
+            if expected != actual:
+                bad.append({"A": [rat_str(x), rat_str(y)], "expected": expected, "actual": actual})
         rows.append(row)
     return rows, bad
 
@@ -134,20 +140,24 @@ def test_atlas_matches_per_cell_classify_hypothesis(A1, A2, delta, kappa, bbox, 
 
 
 UKAPPAS = ["2/5", "1/2", "4/5", "1", "5/4", "2", "5/2"]
+UKAPPA_GRIDS = GRIDS + [(11, ("-1", "-1", "1", "1")), (9, ("-2", "-2", "2", "2"))]
 
 
 @pytest.mark.parametrize("kappa", UKAPPAS)
 def test_ukappa_matches_u_kappa_check(kappa):
-    for n, bbox in GRIDS + [(11, ("-1", "-1", "1", "1")), (9, ("-2", "-2", "2", "2"))]:
+    for n, bbox in UKAPPA_GRIDS:
         assert ukappa_sweep(kappa, n, bbox) == reference_ukappa(rat(kappa), n, bbox)
 
 
-@pytest.mark.parametrize("kappa, n, bbox, point", [
+UKAPPA_BOUNDARY_CASES = [
     ("1", 11, ("-1", "-1", "1", "1"), ("3/5", "4/5")),  # on the circle
     ("1/2", 5, ("-2", "-2", "2", "2"), ("2", "0")),  # on a petal and the centre disk
     ("2", 9, ("-1", "-1", "1", "1"), ("1/2", "0")),  # on the square, inside the disk
     ("2", 9, ("-1", "-1", "1", "1"), ("1/2", "1/2")),  # square corner on the circle
-])
+]
+
+
+@pytest.mark.parametrize("kappa, n, bbox, point", UKAPPA_BOUNDARY_CASES)
 def test_ukappa_boundary_points_are_parabolas(kappa, n, bbox, point):
     rows, bad = ukappa_sweep(kappa, n, bbox)
     x, y = (rat(c) for c in point)
@@ -235,7 +245,7 @@ def ukappa_cell(x, y, d, kp, kq):
     r = x * x + y * y
     edge = (m if m > d else d) * kq
     actual = max(atlas._side(m * kp, edge), atlas._side(r * kp, edge * d))
-    return actual, atlas._u_kappa_side(r, m, d, kp, kq)
+    return actual, atlas.u_kappa_side(r, m, d, kp, kq)
 
 
 def per_cell_ukappa(kappa, n, bbox=DEFAULT_BBOX):
@@ -344,18 +354,21 @@ def test_ukappa_predicates_never_fall_along_a_half_row():
     assert rows > 800
 
 
+MIRROR_BBOXES = [("-1", "-2", "3", "2"), ("-1", "-2", "3", "1")]
+
+
 @pytest.mark.parametrize("kappa, bbox", [("1", DEFAULT_BBOX), ("1/2", DEFAULT_BBOX),
                                          ("3", ("-3/2", "-7/5", "5/3", "2/7"))])
 def test_ukappa_reports_a_run_splitting_prediction_cell_by_cell(monkeypatch, kappa, bbox):
     # side(2m, d) is monotone in |X| but changes where no cut is made.
-    monkeypatch.setattr(atlas, "_u_kappa_side", lambda r, m, d, kp, kq: atlas._side(2 * m, d))
+    monkeypatch.setattr(atlas, "u_kappa_side", lambda r, m, d, kp, kq: atlas._side(2 * m, d))
     for n in (9, 40, 101):
         rows, bad = ukappa_sweep(kappa, n, bbox)
         assert bad
         assert (rows, bad) == per_cell_ukappa(kappa, n, bbox)
 
 
-@pytest.mark.parametrize("bbox", [("-1", "-2", "3", "2"), ("-1", "-2", "3", "1")])
+@pytest.mark.parametrize("bbox", MIRROR_BBOXES)
 def test_ukappa_mirrored_rows_match_per_cell_kernels(monkeypatch, bbox):
     # Rows at y and -y share their runs but not their inconsistency records.
     for kappa in ("1/2", "1", "5/2"):
@@ -365,7 +378,80 @@ def test_ukappa_mirrored_rows_match_per_cell_kernels(monkeypatch, bbox):
             ys = atlas.grid_axes(bbox, n)[1]
             mirrored = [(ys.index(-y), k) for k, y in enumerate(ys) if y > 0 and -y in ys]
             assert mirrored and all(rows[i] == rows[k] for i, k in mirrored)
-    monkeypatch.setattr(atlas, "_u_kappa_side", lambda r, m, d, kp, kq: atlas._side(2 * m, d))
+    monkeypatch.setattr(atlas, "u_kappa_side", lambda r, m, d, kp, kq: atlas._side(2 * m, d))
     rows, bad = ukappa_sweep("1", 25, bbox)
     assert {entry["A"][1][0] == "-" for entry in bad} == {True, False}
     assert (rows, bad) == per_cell_ukappa("1", 25, bbox)
+
+
+# ---------------------------------------------------------------------------
+# The one U_kappa rule (atlas.u_kappa_side, read by special.u_kappa_position)
+# against the literal square-disk-petal membership of ukappa_reference.py.
+
+# Every (kappa, n, bbox) raster that ukappa_sweep is compared on above.
+UKAPPA_RASTERS = (
+    [(kappa, n, bbox) for kappa in UKAPPAS for n, bbox in UKAPPA_GRIDS]
+    + [(kappa, n, bbox) for kappa, n, bbox, _ in UKAPPA_BOUNDARY_CASES]
+    + [(kappa, n, bbox) for kappa, n, bbox, _, _ in BREAKPOINT_CASES]
+    + [(kappa, n, bbox) for bbox in MIRROR_BBOXES for kappa in ("1/2", "1", "5/2") for n in (13, 25, 40)]
+)
+
+
+def positions_agree(kappa, points) -> Counter:
+    """Assert u_kappa_position equals the literal reference at every point;
+    return how often each position came up."""
+    seen = Counter()
+    for p in points:
+        position = u_kappa_position(kappa, p)
+        assert position == reference_position(kappa, p), (kappa, p)
+        seen[position] += 1
+    return seen
+
+
+def test_u_kappa_position_matches_the_literal_reference_on_every_raster_cell():
+    seen = Counter()
+    for kappa, n, bbox in UKAPPA_RASTERS:
+        xs, ys = grid(bbox[0], bbox[2], n), grid(bbox[1], bbox[3], n)
+        seen += positions_agree(rat(kappa), [Point2(x, y) for y in ys for x in xs])
+    assert seen == {"inside": 25547, "boundary": 385, "outside": 25784}
+
+
+def exact_sqrt(q):
+    """The rational square root of q, or None when q is not a square."""
+    p, d = isqrt(q.numerator), isqrt(q.denominator)
+    return rat(p, d) if p * p == q.numerator and d * d == q.denominator else None
+
+
+def boundary_points(kappa, s) -> list[Point2]:
+    """Points of the lines and circles that bound U_kappa's pieces, from the
+    rational parameter s, in all eight images under the symmetries of the
+    square: on the square's edge x = 1/kappa, on the petal circle through
+    the origin centred at (1/(2 kappa), 0), and on the circle
+    x^2 + y^2 = 1/kappa when kappa is a square."""
+    c, t = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)  # c^2 + t^2 = 1
+    r = 1 / (2 * kappa)
+    points = [(1 / kappa, s), (r * (1 + c), r * t)]
+    root = exact_sqrt(kappa)
+    if root is not None:
+        points.append((c / root, t / root))
+    return [Point2(sx * u, sy * v)
+            for x, y in points for u, v in ((x, y), (y, x)) for sx in (1, -1) for sy in (1, -1)]
+
+
+SQUARE_KAPPAS = [rat(1, 4), rat(4, 9), rat(1), rat(9, 4), rat(4)]
+
+
+def test_u_kappa_position_matches_the_literal_reference_fixed_seeds():
+    rng = random.Random(20240816)
+    seen = Counter()
+    for case in range(300):
+        kappa = SQUARE_KAPPAS[case % 5] if case % 3 == 0 else random_kappa(rng)
+        points = [Point2(rnd_rat(rng, -3, 3), rnd_rat(rng, -3, 3)) for _ in range(10)]
+        seen += positions_agree(kappa, points + boundary_points(kappa, rnd_rat(rng, -3, 3)))
+    assert seen == {"inside": 2768, "boundary": 734, "outside": 5338}
+
+
+@settings(deadline=None, max_examples=200)
+@given(kappas | st.sampled_from(SQUARE_KAPPAS), rationals, rationals)
+def test_u_kappa_position_matches_the_literal_reference_hypothesis(kappa, x, y):
+    positions_agree(kappa, [Point2(x, y), *boundary_points(kappa, x)])

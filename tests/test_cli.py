@@ -166,7 +166,7 @@ def test_ukappa_command(tmp_path):
 
 def test_ukappa_reports_inconsistencies(tmp_path, capsys, monkeypatch):
     # Predict "outside" everywhere, so every E and P cell disagrees.
-    monkeypatch.setattr(atlas, "_u_kappa_side", lambda *terms: 1)
+    monkeypatch.setattr(atlas, "u_kappa_side", lambda *terms: 1)
     out = tmp_path / "uk.json"
     assert main(["ukappa", "--kappa", "1", "--grid", "9", "-o", str(out)]) == 2
     payload = json.loads(out.read_text())

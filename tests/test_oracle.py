@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import subprocess
 import sys
@@ -394,6 +395,29 @@ def test_verify_cone_reports_a_rebuild_mismatch(monkeypatch):
         report = verify_cone(cone_from_raw(*raw), OracleConfig(grid_n=41))
         assert report["violations"] == ["pieces differ from their rebuild from the residual form"]
         assert not report["passed"]
+
+
+def test_verify_reports_a_whole_zero_line_of_the_rebuild(monkeypatch, tmp_path, capsys):
+    # No section holds a whole line, so make every restriction report one:
+    # the rebuild's is a violation, and verify fails with exit 2, not a traceback.
+    import taxiconics.oracle as oracle
+    from taxiconics.cli import main
+
+    real = oracle.line_zeros
+
+    def with_a_whole_line(breaks, num):
+        roots, intervals = real(breaks, num)
+        return roots, intervals + [(None, None)]
+
+    monkeypatch.setattr(oracle, "line_zeros", with_a_whole_line)
+    violations = [f"the residual is zero on an interval of rho^{i}" for i in (1, 2, 3)]
+    violations.append("the residual is zero on the whole line (-140, 36, -60)")
+    assert verify_cone(cone_from_raw(*FIG8), OracleConfig(grid_n=41))["violations"] == violations
+    spec, out = tmp_path / "fig8.json", tmp_path / "r.json"
+    spec.write_text(json.dumps({"A": ["1/2", "1/5", "1"], "a": ["3/2", "1", "1"], "kappa": "2"}))
+    assert main(["verify", str(spec), "--grid", "41", "-o", str(out)]) == 2
+    assert json.loads(out.read_text())["violations"] == violations
+    assert capsys.readouterr().err == "FAIL: 4 violation(s)\n"
 
 
 def test_verifier_does_not_call_the_construction(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,16 +23,20 @@ from taxiconics import (
 )
 from taxiconics.cones import BOUNDARY, INSIDE, OUTSIDE
 from taxiconics.errors import (
+    DegenerateCone,
     HorizontalLineWithHorizontalPlane,
     NonPositiveKappa,
     NotParallel,
     NotSteep,
+    ZeroVector,
 )
-from taxiconics.geometry import Point2
+from taxiconics.geometry import Point2, Ray, Segment, piece_sort_key
 from taxiconics.oracle import sample_piece_points
 from taxiconics.sections import vertex_slot
+from taxiconics.special import CIRCLE, HEXAGON, PARALLELOGRAM, RHOMBUS, _is_steepish
 
 from conftest import rnd_rat
+from test_census import census_specs, section_shape
 
 
 def test_horizontal_plane_shapes_fig12():
@@ -255,3 +260,71 @@ def test_parabola_slope_gap_not_applicable():
     )
     assert slanted.klass == "parabola"
     assert parabola_slope_gap(slanted) is None
+
+
+# ---------------------------------------------------------------------------
+# special cases as exact piece maps over census cones
+
+
+def test_horizontal_plane_tags_match_the_census_shapes():
+    # Every census cone over the horizontal plane A = (0, 0, 1): a taxicab
+    # circle, rhombus or parallelogram has four segments, a hexagon six.
+    tags = Counter()
+    for plane, line, kappa in census_specs():
+        if plane != (0, 0, 1):
+            continue
+        try:
+            cone = cone_from_raw(plane, line, kappa)
+        except (DegenerateCone, ZeroVector):  # a horizontal line never meets the plane
+            continue
+        section, tag = horizontal_plane_section(cone.line, kappa)
+        assert section == build_section(cone)
+        assert section_shape(section) == ("ellipse", 6 if tag == HEXAGON else 4, 0, 0), (line, kappa, tag)
+        tags[tag] += 1
+    assert tags == {CIRCLE: 15, RHOMBUS: 24, PARALLELOGRAM: 60, HEXAGON: 48}  # 99 + 48
+
+
+def similar_image(piece, a: Point2, b: Point2, lam):
+    """The piece under x -> b + lam (x - a); a ray's direction scales by the
+    sign of lam."""
+    def image(p):
+        return Point2(b.x1 + lam * (p.x1 - a.x1), b.x2 + lam * (p.x2 - a.x2))
+    if isinstance(piece, Segment):
+        return Segment.of(image(piece.a), image(piece.b))
+    s = 1 if lam > 0 else -1
+    return Ray.of(image(piece.base), s * piece.direction.x1, s * piece.direction.x2)
+
+
+def test_steep_line_similarity_is_an_exact_piece_map():
+    # Census (plane, kappa) groups drawn with a fixed seed; in each, every
+    # steep or transitionally steep line b against the group's first such
+    # line a, in census order.
+    groups = {}
+    for plane, line, kappa in census_specs():
+        if line[2] == 1:
+            groups.setdefault((plane, kappa), []).append(line)
+    rng = random.Random(20240817)
+    pairs = half_turns = with_rays = 0
+    for key in rng.sample(sorted(groups), 60):
+        plane, kappa = key
+        cones = []
+        for line in groups[key]:
+            try:
+                cone = cone_from_raw(plane, line, kappa)
+            except (DegenerateCone, ZeroVector):
+                continue
+            if _is_steepish(cone.line):
+                cones.append(cone)
+        if not cones:  # the zero plane (0, 0, 0)
+            continue
+        first, *rest = cones
+        pieces_a = build_section(first).pieces
+        for cone in rest:
+            lam = 1 / steep_line_similarity(cone.plane, kappa, first.line, cone.line).ratio
+            image = sorted((similar_image(p, first.line.base, cone.line.base, lam) for p in pieces_a),
+                           key=piece_sort_key)
+            assert image == list(build_section(cone).pieces), (plane, kappa, first.line, cone.line)
+            pairs += 1
+            half_turns += lam < 0
+            with_rays += any(isinstance(p, Ray) for p in pieces_a)
+    assert (pairs, half_turns, with_rays) == (601, 179, 357)
