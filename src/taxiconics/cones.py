@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from ._rat import Rat, rat, rat_str, rats
+from ._rat import Rat, as_integers, rat, rat_str, rats
 from .errors import DegenerateCone, NonPositiveKappa, ZeroVector
 from .geometry import Line2, Point2, projective_direction
 from .metric import DominanceClass, ResidualForm, build_residual_form, dominance_class
@@ -88,8 +88,30 @@ class LineParams:
         return [rat_str(self.a1), rat_str(self.a2), str(self.a3)]
 
 
+class IntegerFrame(NamedTuple):
+    """A cone's construction data over common denominators, all integers:
+    a = (n1, n2)/q (for a horizontal line its direction, q = 1),
+    (A1, A2, delta) = (P1, P2, P0)/Q with Q > 0, M/kappa = hn/hd with hd > 0,
+    and the scaled incidence E = P1 n1 + P2 n2 + P0 q a3 = Q q e."""
+
+    n1: int
+    n2: int
+    q: int
+    P1: int
+    P2: int
+    P0: int
+    Q: int
+    hn: int
+    hd: int
+    E: int
+
+
 @dataclass(frozen=True)
 class ConeSpec:
+    """A valid cone.  residual_form (the verifier's) and frame (the
+    construction's) are integer forms built once per cone on first use; they
+    are not fields, so ==, hash, repr and cone_to_json ignore them."""
+
     plane: PlaneParams
     line: LineParams
     kappa: Rat
@@ -102,9 +124,17 @@ class ConeSpec:
 
     @cached_property
     def residual_form(self) -> ResidualForm:
-        """The integer residual form, built once per cone; not a field, so
-        ==, hash and repr ignore it."""
+        """The integer residual form of the verifier."""
         return build_residual_form(self.plane, self.line, self.kappa)
+
+    @cached_property
+    def frame(self) -> IntegerFrame:
+        """The integer frame of the construction (sections.vertex_slot)."""
+        plane, line, kappa = self.plane, self.line, self.kappa
+        (n1, n2), q = as_integers((line.a1, line.a2))
+        (P1, P2, P0), Q = as_integers((plane.A1, plane.A2, plane.delta))
+        hn, hd = max(abs(P1), abs(P2), P0) * kappa.denominator, Q * kappa.numerator
+        return IntegerFrame(n1, n2, q, P1, P2, P0, Q, hn, hd, P1 * n1 + P2 * n2 + P0 * q * line.a3)
 
 
 @dataclass(frozen=True)
@@ -186,7 +216,7 @@ def trace_line_PS(plane: PlaneParams) -> Optional[Line2]:
     """P^S = {A1*x1 + A2*x2 + delta = 0}; None for a horizontal plane."""
     if plane.is_horizontal:
         return None
-    return Line2.of(plane.A1, plane.A2, rat(plane.delta))
+    return Line2.of_integers(*as_integers((plane.A1, plane.A2, plane.delta))[0])
 
 
 def active_partial_pair(line: LineParams) -> Optional[tuple[int, int]]:
@@ -228,13 +258,16 @@ def active_indices(line: LineParams) -> list[int]:
 
 
 def reference_lines(line: LineParams) -> list[tuple[int, Line2, bool]]:
-    """Defined reference lines as (index, line, active); see reference_directions."""
-    b1, b2 = line.base
+    """Defined reference lines as (index, line, active); see reference_directions.
+
+    With (a1, a2) = (n1, n2)/q in integers, rho^1 is q x2 = n2, rho^2 is
+    q x1 = n1 and rho^3 is n2 x1 = n1 x2: it passes through the origin and a,
+    so also through the base point of a horizontal line.
+    """
+    (n1, n2), q = as_integers((line.a1, line.a2))
+    forms = {1: (0, q, -n2), 2: (q, 0, -n1), 3: (n2, -n1, 0)}
     active = active_indices(line)
-    return [
-        (i, Line2.of(r[1], -r[0], r[0] * b2 - r[1] * b1), i in active)
-        for i, r in reference_directions(line).items()
-    ]
+    return [(i, Line2.of_integers(*forms[i]), i in active) for i in reference_directions(line)]
 
 
 def characterizing_strip(cone: ConeSpec) -> CharStrip:

@@ -47,8 +47,9 @@ def cross(u: Point2, v: Point2) -> Rat:
 
 
 def primitive_direction(dx, dy) -> Point2:
-    """Scale a nonzero rational vector to coprime integers, keeping orientation."""
-    (ax, ay), _ = as_integers((rat(dx), rat(dy)))
+    """Scale a nonzero vector of ints or Rats to coprime integers, keeping
+    orientation."""
+    (ax, ay), _ = as_integers((dx, dy))
     if ax == 0 and ay == 0:
         raise ValueError("zero direction")
     g = gcd(ax, ay)
@@ -106,16 +107,18 @@ class Line2:
 
     @staticmethod
     def of(c1, c2, c0) -> "Line2":
-        c1, c2, c0 = rat(c1), rat(c2), rat(c0)
+        ints, _ = as_integers((rat(c1), rat(c2), rat(c0)))
+        return Line2.of_integers(*ints)
+
+    @staticmethod
+    def of_integers(c1: int, c2: int, c0: int) -> "Line2":
+        """Line2.of for integer coefficients."""
         if c1 == 0 and c2 == 0:
             raise ValueError("degenerate line: (c1, c2) must be nonzero")
-        ints, _ = as_integers((c1, c2, c0))
-        g = gcd(*ints)
-        ints = [v // g for v in ints]
-        lead = ints[0] if ints[0] != 0 else ints[1]
-        if lead < 0:
-            ints = [-v for v in ints]
-        return Line2(Rat(ints[0]), Rat(ints[1]), Rat(ints[2]))
+        g = gcd(c1, c2, c0)
+        if (c1 if c1 != 0 else c2) < 0:
+            g = -g
+        return Line2(Rat(c1 // g), Rat(c2 // g), Rat(c0 // g))
 
     def value_at(self, p: Point2) -> Rat:
         return self.c1 * p.x1 + self.c2 * p.x2 + self.c0

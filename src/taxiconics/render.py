@@ -162,17 +162,20 @@ def raster_chunks(rows: list[str], bbox, kappa=None, width: int = 480) -> Iterat
     # A row's text is its y and the size joined between cols[0] and then
     # tails[letter][i] for each cell i: the end of cell i, a newline and the
     # start of cell i + 1, or the end and the row's newline for the last
-    # cell.  A run of equal letters is one list slice.
+    # cell.  A run of equal letters is one list slice, and a row equal to
+    # the one before reuses its parts.
     cols = [f'<rect x="{_fmt(ix * cell_w)}" y="' for ix in range(n_cols)]
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
     ends = {letter: f'{fill}"/>' for letter, fill in _CELL_FILL.items()}
     tails = {letter: [f"{end}\n{col}" for col in cols[1:]] + [end + "\n"] for letter, end in ends.items()}
+    previous = None
     for iy, row in enumerate(rows):
-        parts, start = [cols[0]], 0
-        for letter, run in groupby(row):
-            stop = start + len(list(run))
-            parts += tails[letter][start:stop]
-            start = stop
+        if row != previous:
+            parts, start, previous = [cols[0]], 0, row
+            for letter, run in groupby(row):
+                stop = start + len(list(run))
+                parts += tails[letter][start:stop]
+                start = stop
         yield (_fmt((n_rows - 1 - iy) * cell_h) + size).join(parts)
     if k is not None:
         style = _DEFAULT_STYLES["ukappa_boundary"]
@@ -203,8 +206,9 @@ def render_raster(rows: list[str], bbox, kappa=None, width: int = 480) -> str:
 
 
 def write_raster(path, rows: list[str], bbox, kappa=None, width: int = 480):
-    """Write the raster_chunks document to path, opened once every check passed."""
+    """Write the raster_chunks document to path, opened once every check
+    passed, through a 256 KiB buffer: a few writes per document."""
     chunks = raster_chunks(rows, bbox, kappa, width)
     head = next(chunks)
-    with open(path, "w") as out:
+    with open(path, "w", buffering=1 << 18) as out:
         out.writelines(chain([head], chunks))

@@ -18,6 +18,13 @@ r_i -/+ r_j for each pair of reference directions, or, for a horizontal
 defining line, parallel to ell through (0, -/+1) and (-/+1, 0).  They do not
 depend on kappa (see auxiliary_points).
 
+Both closed forms are ratios of small integer forms.  They are computed in
+the cone's integer frame (ConeSpec.frame: a, (A1, A2, delta), M/kappa and the
+incidence over common denominators), and so are the reference lines, the
+trace and the ray directions; a Fraction is made only for a coordinate the
+section stores.  classify stays in Fractions: it is the per-cell reference of
+the sweep kernels.  tests/construction_reference.py keeps the Fraction forms.
+
 For a horizontal defining line only rho^3 exists, through the origin, and
 the section is four rays constructed from the auxiliary points on P^S.
 oracle.verify_cone rebuilds the pieces from the cone's residual form alone
@@ -28,15 +35,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional
 
-from ._rat import rat, rats, sign
+from ._rat import Rat, as_integers, rat, rats, sign
 from .cones import (
     INSIDE,
     OUTSIDE,
     ConeSpec,
     LineParams,
-    PlaneParams,
     active_indices,
     active_partial_pair,
     characterizing_strip,
@@ -120,6 +127,13 @@ def finite_points(section: ConicSection) -> Iterator[Point2]:
 # vertices
 
 
+def _integer_directions(line: LineParams) -> dict[int, tuple[int, int]]:
+    """q r_i in integers for each defined r_i (cones.reference_directions),
+    with (a1, a2) = (n1, n2)/q as in cones.IntegerFrame."""
+    (n1, n2), q = as_integers((line.a1, line.a2))
+    return {i: ((q, 0), (0, q), (n1, n2))[i - 1] for i in reference_directions(line)}
+
+
 def vertex_slot(cone: ConeSpec, index: int, sgn: int) -> ExtendedPoint:
     """Vertex formula value for one (reference line, sign) slot.
 
@@ -128,23 +142,27 @@ def vertex_slot(cone: ConeSpec, index: int, sgn: int) -> ExtendedPoint:
     the incidence and den = sgn M/kappa - (A1 r_i1 + A2 r_i2); den = 0 puts
     it at infinity along r_i.  For a horizontal line b = 0, r_3 = (a1, a2)
     and t = -(delta + sgn M/kappa)/e.
+
+    Both are computed in the cone's integer frame (cones.IntegerFrame) and
+    become Fractions only as the stored coordinates.  With (R1, R2) = q r_i
+    and N = sgn hn Q q - (P1 R1 + P2 R2) hd, so that den = N/(hd Q q), the
+    vertex is ((n1 N + E hd R1)/(q N), (n2 N + E hd R2)/(q N)), at infinity
+    when N = 0; for a horizontal line it is
+    -(P0 hd + sgn hn Q) (n1, n2)/(hd E).
     """
-    plane, line = cone.plane, cone.line
-    refs = reference_directions(line)
+    line, f = cone.line, cone.frame
+    refs = _integer_directions(line)
     if index not in refs:
         raise ValueError(f"rho^{index} is undefined for line {line.to_json()}")
-    mk = plane.M / cone.kappa
-    e = cone.incidence
-    r1, r2 = refs[index]
     if line.is_horizontal:
-        t = (plane.delta + sgn * mk) / (-e)
-    else:
-        den = sgn * mk - (plane.A1 * r1 + plane.A2 * r2)
-        if den == 0:
-            return ExtendedPoint.at_infinity(r1, r2)
-        t = e / den
-    b1, b2 = line.base
-    return ExtendedPoint.finite(Point2(b1 + t * r1, b2 + t * r2))
+        num, den = -(f.P0 * f.hd + sgn * f.hn * f.Q), f.hd * f.E
+        return ExtendedPoint.finite(Point2(Rat(num * f.n1, den), Rat(num * f.n2, den)))
+    R1, R2 = refs[index]
+    N = sgn * f.hn * f.Q * f.q - (f.P1 * R1 + f.P2 * R2) * f.hd
+    if N == 0:
+        return ExtendedPoint.at_infinity(R1, R2)
+    step, den = f.E * f.hd, f.q * N
+    return ExtendedPoint.finite(Point2(Rat(f.n1 * N + step * R1, den), Rat(f.n2 * N + step * R2, den)))
 
 
 def vertices(cone: ConeSpec) -> list[Vertex]:
@@ -160,13 +178,22 @@ def _slot_map(verts: list[Vertex]) -> dict[tuple[int, int], ExtendedPoint]:
 # auxiliary points
 
 
-def _ps_meet(plane: PlaneParams, p, w) -> ExtendedPoint:
-    """Where P^S meets the line p + t w; at infinity when they are parallel."""
-    den = plane.A1 * w[0] + plane.A2 * w[1]
-    if den == 0:
-        return ExtendedPoint.at_infinity(-plane.A2, plane.A1)
-    t = -(plane.A1 * p[0] + plane.A2 * p[1] + plane.delta) / den
-    return ExtendedPoint.finite(Point2(p[0] + t * w[0], p[1] + t * w[1]))
+def _ps_meet(frame, p, w) -> ExtendedPoint:
+    """Where P^S meets the line (p1, p2)/pq + t w, p = (p1, p2, pq) and w in
+    integers; at infinity along (-A2, A1) when they are parallel.
+
+    With D = P1 w1 + P2 w2 and K = P1 p1 + P2 p2 + P0 pq the meet is at
+    t = -K/(pq D), the point ((p1 D - K w1)/(pq D), (p2 D - K w2)/(pq D)).
+    """
+    P1, P2 = frame.P1, frame.P2
+    p1, p2, pq = p
+    w1, w2 = w
+    D = P1 * w1 + P2 * w2
+    if D == 0:
+        return ExtendedPoint.at_infinity(-P2, P1)
+    K = P1 * p1 + P2 * p2 + frame.P0 * pq
+    den = pq * D
+    return ExtendedPoint.finite(Point2(Rat(p1 * D - K * w1, den), Rat(p2 * D - K * w2, den)))
 
 
 def auxiliary_points(cone: ConeSpec, relations=None) -> list[AuxPoint]:
@@ -188,16 +215,16 @@ def auxiliary_points(cone: ConeSpec, relations=None) -> list[AuxPoint]:
     horizontal: there is no trace line and every auxiliary point escapes
     to infinity.
     """
-    plane, line = cone.plane, cone.line
+    plane, line, f = cone.plane, cone.line, cone.frame
     if plane.is_horizontal:
         raise HorizontalPlane("a horizontal defining plane has no trace line P^S")
-    a = (line.a1, line.a2)
     if line.is_horizontal:
+        a = (f.n1, f.n2)
         out = []
         for family, active in (("I", abs(a[0]) >= abs(a[1])), ("II", abs(a[1]) >= abs(a[0]))):
             for s in _SIGNS:
-                p = (0, -s) if family == "I" else (-s, 0)
-                out.append(AuxPoint(f"{family}{_SIGN_CHAR[s]}", _ps_meet(plane, p, a), active))
+                p = (0, -s, 1) if family == "I" else (-s, 0, 1)
+                out.append(AuxPoint(f"{family}{_SIGN_CHAR[s]}", _ps_meet(f, p, a), active))
         return out
 
     single = active_partial_pair(line)
@@ -206,19 +233,22 @@ def auxiliary_points(cone: ConeSpec, relations=None) -> list[AuxPoint]:
         if relations is None:
             relations, _ = _relations(line, _slot_map(vertices(cone)))
         related = {frozenset(key) for key, _ in relations}
-    refs = reference_directions(line)
+    a = (f.n1, f.n2, f.q)
+    refs = _integer_directions(line)
     indices = list(refs)
     out = []
     for k, i in enumerate(indices):
+        ri1, ri2 = refs[i]
         for j in indices[k + 1:]:
+            rj1, rj2 = refs[j]
             for s in _SIGNS:
                 sigma = s if (i, j) == (1, 2) else -s
-                w = (refs[i][0] - sigma * refs[j][0], refs[i][1] - sigma * refs[j][1])
+                w = (ri1 - sigma * rj1, ri2 - sigma * rj2)
                 if single is not None:
                     active = (i, j) == single
                 else:
                     active = any(frozenset(((i, si), (j, sigma * si))) in related for si in _SIGNS)
-                out.append(AuxPoint(f"{i},{j}{_SIGN_CHAR[s]}", _ps_meet(plane, a, w), active))
+                out.append(AuxPoint(f"{i},{j}{_SIGN_CHAR[s]}", _ps_meet(f, a, w), active))
     return out
 
 
@@ -230,14 +260,15 @@ def _angle_key(x1, x2):
     """Exact angle order of the direction (x1, x2) in [0, 2 pi): x1/(|x1| + |x2|)
     falls from 1 to -1 over the upper half-turn and rises back over the lower
     one."""
-    x = rat(x1) / (abs(x1) + abs(x2))
+    x = Rat(x1, abs(x1) + abs(x2))
     return (0, -x) if x2 > 0 or (x2 == 0 and x1 > 0) else (1, x)
 
 
 def _sorted_active_rays(line: LineParams) -> list[tuple[int, int]]:
     """Active reference rays (i, u), the ray u r_i from a with u = +-1, sorted
-    by exact angle.  The opposite of (i, u) is (i, -u)."""
-    refs = reference_directions(line)
+    by exact angle (of q r_i, _integer_directions).  The opposite of (i, u)
+    is (i, -u)."""
+    refs = _integer_directions(line)
     rays = [(i, u) for i in active_indices(line) for u in _SIGNS]
     rays.sort(key=lambda ray: _angle_key(ray[1] * refs[ray[0]][0], ray[1] * refs[ray[0]][1]))
     return rays
@@ -252,7 +283,7 @@ def _relations(line: LineParams, slots):
     den = s M/kappa - A.r_i (vertex_slot), so:
 
     * it lies on the reference ray (i, tau) with tau = sign(t), read off as
-      the sign of (v - a).r_i;
+      the sign of (v - a)_k r_ik on a coordinate k with r_ik != 0;
     * A.v + delta = e + t A.r_i = t s M/kappa, so its side of P^S is s tau.
       A horizontal plane has A = 0 and t = s kappa/M: every vertex is on the
       side of e, and no trace is needed;
@@ -266,11 +297,11 @@ def _relations(line: LineParams, slots):
       opposite sides with one ray consecutive to the other's opposite.
     * links: ((finite slot, infinite slot (i, s)), w) when the ray v + t w
       from a finite vertex v toward the vertex at infinity on rho^i is a
-      piece.  w = u r_i with u = side(v) s, so that A.w = u s M/kappa has the
-      sign of v's side and the ray runs away from P^S; v's reference ray and
-      (i, u) must be consecutive.
+      piece.  w = u q r_i (_integer_directions) with u = side(v) s, so that
+      A.w = u s q M/kappa has the sign of v's side and the ray runs away
+      from P^S; v's reference ray and (i, u) must be consecutive.
     """
-    refs = reference_directions(line)
+    refs = _integer_directions(line)
     rays = _sorted_active_rays(line)
     n = len(rays)
     ray_pos = {ray: k for k, ray in enumerate(rays)}
@@ -281,8 +312,8 @@ def _relations(line: LineParams, slots):
     tau = {}
     for (i, s), ep in slots.items():
         if ep.is_finite:
-            p, (r1, r2) = ep.point, refs[i]
-            tau[(i, s)] = sign((p.x1 - line.a1) * r1 + (p.x2 - line.a2) * r2)
+            (r1, r2), p = refs[i], ep.point
+            tau[(i, s)] = sign(p.x1 - line.a1) * sign(r1) if r1 else sign(p.x2 - line.a2) * sign(r2)
     relations = []
     keys = sorted(tau)
     for ai, k1 in enumerate(keys):
@@ -303,21 +334,36 @@ def _relations(line: LineParams, slots):
     return relations, links
 
 
+def _ray_away(p: Point2, q: Point2) -> Ray:
+    """The ray from p along p - q, with the direction computed in integers."""
+    p1, q1, p2, q2 = p.x1, q.x1, p.x2, q.x2
+    d1 = (p1.numerator * q1.denominator - q1.numerator * p1.denominator) * p2.denominator * q2.denominator
+    d2 = (p2.numerator * q2.denominator - q2.numerator * p2.denominator) * p1.denominator * q1.denominator
+    return Ray.of(p, d1, d2)
+
+
+def _sorted_distinct(pieces: list[Piece]) -> list[Piece]:
+    """The distinct pieces in piece_sort_key order.  Equal pieces have equal
+    keys and so end up side by side; unlike a set, this hashes no Fraction."""
+    keyed = sorted(((piece_sort_key(piece), piece) for piece in pieces), key=itemgetter(0))
+    return [piece for k, (key, piece) in enumerate(keyed) if k == 0 or key != keyed[k - 1][0]]
+
+
 def _connect_the_dots(slots, relations, links) -> list[Piece]:
     """Pieces from the vertex relations: a segment for each adjacent pair, two
     complementary rays for each anti-adjacent pair, and a ray toward each
     linked vertex at infinity."""
-    pieces: set[Piece] = set()
+    pieces = []
     for (k1, k2), rel in relations:
         p, q = slots[k1].point, slots[k2].point
         if rel == ADJACENT:
-            pieces.add(Segment.of(p, q))
+            pieces.append(Segment.of(p, q))
         else:
-            pieces.add(Ray.of(p, p.x1 - q.x1, p.x2 - q.x2))
-            pieces.add(Ray.of(q, q.x1 - p.x1, q.x2 - p.x2))
+            pieces.append(_ray_away(p, q))
+            pieces.append(_ray_away(q, p))
     for (key, _), (w1, w2) in links:
-        pieces.add(Ray.of(slots[key].point, w1, w2))
-    return sorted(pieces, key=piece_sort_key)
+        pieces.append(Ray.of(slots[key].point, w1, w2))
+    return _sorted_distinct(pieces)
 
 
 def _construct_horizontal(verts: list[Vertex], aux: list[AuxPoint]) -> list[Piece]:
@@ -327,11 +373,7 @@ def _construct_horizontal(verts: list[Vertex], aux: list[AuxPoint]) -> list[Piec
     carries one vertex v; the edge is the ray from v pointing away from w.
     """
     points = [v.location.point for v in verts]
-    pieces: set[Piece] = set()
-    for w in (p.location.point for p in aux if p.active):
-        for v in points:
-            pieces.add(Ray.of(v, v.x1 - w.x1, v.x2 - w.x2))
-    return sorted(pieces, key=piece_sort_key)
+    return _sorted_distinct([_ray_away(v, w.location.point) for w in aux if w.active for v in points])
 
 
 def adjacency(cone: ConeSpec):

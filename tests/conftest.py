@@ -64,6 +64,32 @@ def random_cones(n: int, seed: int, **kwargs) -> list:
     return [random_cone(rng, **kwargs) for _ in range(n)]
 
 
+def horizontal_line_cones(n: int, seed: int) -> list:
+    """Cones whose defining line is horizontal (a3 = 0)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        try:
+            out.append(cone_from_raw(random_plane_triple(rng), (rnd_rat(rng), rnd_rat(rng), 0),
+                                     random_kappa(rng)))
+        except (DegenerateCone, ZeroVector):
+            continue
+    return out
+
+
+def vertical_plane_cones(n: int, seed: int) -> list:
+    """Cones whose defining plane is vertical (delta = 0)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        try:
+            out.append(cone_from_raw((rnd_rat(rng), rnd_rat(rng), 0), (rnd_rat(rng), rnd_rat(rng), 1),
+                                     random_kappa(rng)))
+        except (DegenerateCone, ZeroVector):
+            continue
+    return out
+
+
 def random_vertex_at_infinity_cones(n: int, seed: int) -> list:
     """Cones with at least one section vertex at infinity.
 

@@ -30,12 +30,12 @@ from taxiconics.oracle import (
 )
 
 from conftest import (
+    horizontal_line_cones,
     random_cone,
-    random_kappa,
-    random_plane_triple,
     random_vertex_at_infinity_cones,
     reference_residual,
     rnd_rat,
+    vertical_plane_cones,
 )
 from test_oracle import ACCEPTANCE_CONES, FIG8, _on_reference_line
 
@@ -79,30 +79,6 @@ def _assert_form_matches_reference(cones, seed):
     assert 0 < zeros < checked
 
 
-def _horizontal_line_cones(n, seed):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < n:
-        try:
-            out.append(cone_from_raw(random_plane_triple(rng), (rnd_rat(rng), rnd_rat(rng), 0),
-                                     random_kappa(rng)))
-        except (DegenerateCone, ZeroVector):
-            continue
-    return out
-
-
-def _vertical_plane_cones(n, seed):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < n:
-        try:
-            out.append(cone_from_raw((rnd_rat(rng), rnd_rat(rng), 0), (rnd_rat(rng), rnd_rat(rng), 1),
-                                     random_kappa(rng)))
-        except (DegenerateCone, ZeroVector):
-            continue
-    return out
-
-
 def test_form_matches_reference_on_acceptance_cones():
     _assert_form_matches_reference([cone_from_raw(*s) for s in ACCEPTANCE_CONES], 1)
 
@@ -118,8 +94,8 @@ def test_form_matches_reference_on_vertex_at_infinity_cones():
 
 
 def test_form_matches_reference_on_horizontal_lines_and_vertical_planes():
-    horizontal = _horizontal_line_cones(200, 4)
-    vertical = _vertical_plane_cones(200, 5)
+    horizontal = horizontal_line_cones(200, 4)
+    vertical = vertical_plane_cones(200, 5)
     assert all(c.line.is_horizontal for c in horizontal)
     assert all(c.plane.delta == 0 for c in vertical)
     _assert_form_matches_reference(horizontal + vertical, 6)
@@ -229,7 +205,7 @@ def test_reference_is_linear_between_breakpoints(cone_family):
     # family cones (horizontal defining lines among them), cones with a
     # vertex at infinity, and horizontal defining lines alone
     cones = (cone_family[:150] + random_vertex_at_infinity_cones(100, 20240811)
-             + _horizontal_line_cones(60, 7))
+             + horizontal_line_cones(60, 7))
     rng = random.Random(11)
     stretches = chords = 0
     for cone in cones:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -36,7 +37,7 @@ from taxiconics.sections import vertex_slot
 from taxiconics.special import CIRCLE, HEXAGON, PARALLELOGRAM, RHOMBUS, _is_steepish
 
 from conftest import rnd_rat
-from test_census import census_specs, section_shape
+from test_census import VALUES, census_specs, section_shape
 
 
 def test_horizontal_plane_shapes_fig12():
@@ -328,3 +329,42 @@ def test_steep_line_similarity_is_an_exact_piece_map():
             half_turns += lam < 0
             with_rays += any(isinstance(p, Ray) for p in pieces_a)
     assert (pairs, half_turns, with_rays) == (601, 179, 357)
+
+
+def test_parallel_plane_similarity_is_an_exact_piece_map():
+    # Every ordered pair of distinct census planes A = (A1, A2, 1) with
+    # parallel traces, (A1, A2) = c (B1, B2), times every non-horizontal
+    # census line a at kappa_A = 1: with kappa_B = parallel_plane_kappa, the
+    # pieces over B are those over A under x -> a + lam (x - a), with
+    # lam = c inc_B / inc_A.
+    planes = [normalize_plane((A1, A2, 1)) for A1, A2 in product(VALUES, repeat=2) if (A1, A2) != (0, 0)]
+    lines = [(a1, a2, 1) for a1, a2 in product(VALUES, repeat=2)]
+    built = {}
+
+    def section_cone(plane, line, kappa):
+        key = (plane, line, kappa)
+        if key not in built:
+            cone = cone_from_raw(plane.triple(), line, kappa)
+            built[key] = cone, build_section(cone).pieces
+        return built[key]
+
+    pairs = half_turns = with_rays = 0
+    for plane_a, plane_b in product(planes, repeat=2):
+        if plane_a == plane_b or plane_a.A1 * plane_b.A2 != plane_a.A2 * plane_b.A1:
+            continue
+        kappa_b = parallel_plane_kappa(plane_a, plane_b, 1)
+        c = plane_a.A1 / plane_b.A1 if plane_b.A1 != 0 else plane_a.A2 / plane_b.A2
+        for line in lines:
+            try:
+                cone_a, pieces_a = section_cone(plane_a, line, rat(1))
+                cone_b, pieces_b = section_cone(plane_b, line, kappa_b)
+            except DegenerateCone:
+                continue
+            lam = c * cone_b.incidence / cone_a.incidence
+            a = cone_a.line.base
+            image = sorted((similar_image(p, a, a, lam) for p in pieces_a), key=piece_sort_key)
+            assert image == pieces_b, (plane_a.to_json(), plane_b.to_json(), line)
+            pairs += 1
+            half_turns += lam < 0
+            with_rays += any(isinstance(p, Ray) for p in pieces_a)
+    assert (pairs, half_turns, with_rays) == (6872, 2176, 5696)
